@@ -2,8 +2,7 @@
 /// generic front end to the dws::exp engine the figure binaries are built on.
 ///
 ///   # 3 rank counts x 2 policies, 8 worker threads, JSONL records
-///   ./sweep_cli --tree SIM200K --ranks 128,256,512 --policy ref,tofu \
-///               --steal half --threads 8 --out results.jsonl
+///   ./sweep_cli --tree SIM200K --ranks 128,256,512 --policy ref,tofu --steal half --threads 8 --out results.jsonl
 ///
 ///   # zip mode: axes advance together instead of crossing
 ///   ./sweep_cli --tree SIM200K --ranks 64,128 --chunk 4,8 --zip

@@ -29,7 +29,7 @@ void mark_ranks(std::vector<std::uint8_t>& flags, std::uint32_t count,
   for (std::uint32_t i = 0; i < n; ++i) pool[i] = i;
   support::Xoshiro256StarStar rng(seed);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t j = i + rng.next_below(n - i);
+    const auto j = static_cast<std::uint32_t>(i + rng.next_below(n - i));
     std::swap(pool[i], pool[j]);
     flags[pool[i]] = 1;
   }

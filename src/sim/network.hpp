@@ -1,11 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,6 +108,102 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
   return congestion.window > 0 ? congestion.window : latency.network_base;
 }
 
+/// Per-channel ordering state of a Network: for every (src, dst) channel
+/// with a delivery in flight, the channel's latest arrival time and its count
+/// of in-flight deliveries. One open-addressed table with linear probing and
+/// backward-shift deletion, so a send and a retirement each cost expected
+/// O(1) probes (a broadcast from one rank to every rank included), no slot
+/// ever holds a tombstone, and the storage grows only to the peak live
+/// channel count: steady-state churn allocates nothing.
+class ChannelTable {
+ public:
+  /// Key of the channel from src to dst. Ranks are 32-bit and src != dst,
+  /// so no live key equals kNoKey.
+  static std::uint64_t key(topo::Rank src, topo::Rank dst) noexcept {
+    return (static_cast<std::uint64_t>(src) << 32) | dst;
+  }
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+  /// Opens one more in-flight delivery on channel `key` with raw arrival
+  /// time `arrival`, and returns it clamped to the channel's previous
+  /// arrival (MPI non-overtaking), which it then becomes.
+  support::SimTime admit(std::uint64_t key, support::SimTime arrival) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    std::size_t i = home(key);
+    for (; slots_[i].key != kNoKey; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.key == key) {
+        if (arrival < slot.last_arrival) arrival = slot.last_arrival;
+        slot.last_arrival = arrival;
+        ++slot.in_flight;
+        return arrival;
+      }
+    }
+    slots_[i] = Slot{key, arrival, 1};
+    ++size_;
+    return arrival;
+  }
+
+  /// Closes one in-flight delivery on channel `key`; the last one frees
+  /// the channel's slot.
+  void retire(std::uint64_t key) {
+    std::size_t hole = home(key);
+    while (slots_[hole].key != key) {
+      DWS_CHECK(slots_[hole].key != kNoKey);  // retiring an unknown channel
+      hole = (hole + 1) & mask_;
+    }
+    DWS_DCHECK(slots_[hole].in_flight > 0);
+    if (--slots_[hole].in_flight != 0) return;
+    // Backward shift: walk the rest of the probe run and move each entry
+    // whose home slot lies cyclically at or before the hole into it, so
+    // every remaining key stays reachable from its home without tombstones.
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kNoKey;
+         j = (j + 1) & mask_) {
+      if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].key = kNoKey;
+    --size_;
+  }
+
+  /// Channels with at least one delivery in flight.
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  struct Slot {
+    std::uint64_t key = kNoKey;
+    support::SimTime last_arrival = 0;
+    std::uint32_t in_flight = 0;
+  };
+
+  /// Fibonacci hashing: the top bits of key times 2^64/phi.
+  std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Doubles the slot count (64 at first use), keeping the load factor at
+  /// or below one half.
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot& slot : old) {
+      if (slot.key == kNoKey) continue;
+      std::size_t i = home(slot.key);
+      while (slots_[i].key != kNoKey) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+};
+
 /// Point-to-point message transport between simulated ranks.
 ///
 /// Models what the paper's UTS implementation gets from MPI two-sided
@@ -127,9 +223,12 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
 /// Channel lifecycle: the non-overtaking clamp needs a channel's previous
 /// arrival time only while a delivery is still in flight — once the last one
 /// fires, any later send on that channel arrives at now + latency >= every
-/// past arrival, so the entry is retired (its map node is recycled to keep
-/// the steady state allocation-free). NetworkStats::peak_channels records
-/// the high-water mark of live channels.
+/// past arrival, so the channel's slot in the ChannelTable is freed. A send
+/// admits one delivery (clamp and count) and its kNetworkDeliver event
+/// retires it; both are expected O(1) and allocation-free once the table has
+/// grown to the run's peak. NetworkStats::peak_channels records that peak of
+/// live channels. Each send resolves its latency, hops and same-node flag
+/// with one LatencyModel::route call, shared by a duplicated copy.
 ///
 /// Fault injection (DESIGN.md §10): with a fault::Injector attached, each
 /// send first asks the injector for a plan. A dropped message is still
@@ -227,23 +326,24 @@ class Network final : public EventSink {
   void send(topo::Rank src, topo::Rank dst, Message msg, std::uint32_t bytes,
             fault::MsgClass cls = fault::MsgClass::kReliable) {
     DWS_CHECK(src != dst);
+    const topo::Route route = latency_->route(src, dst, bytes, engine_->now());
     if (faults_ != nullptr && faults_->enabled()) {
       const fault::SendPlan plan =
-          faults_->plan_send(channel_key(src, dst), cls, bytes);
+          faults_->plan_send(ChannelTable::key(src, dst), cls, bytes);
       if (plan.drop) {
         // The send still happened from the sender's point of view: count it
         // so send-side ledgers (audit) and NetworkStats agree, but schedule
         // no delivery and load no links.
-        count_message(src, dst, bytes);
+        count_message(route, bytes);
         return;
       }
       if (plan.duplicate) {
-        enqueue(src, dst, Message(msg), bytes, plan.dup_latency_mult);
+        enqueue(src, dst, Message(msg), bytes, route, plan.dup_latency_mult);
       }
-      enqueue(src, dst, std::move(msg), bytes, plan.latency_mult);
+      enqueue(src, dst, std::move(msg), bytes, route, plan.latency_mult);
       return;
     }
-    enqueue(src, dst, std::move(msg), bytes, 1.0);
+    enqueue(src, dst, std::move(msg), bytes, route, 1.0);
   }
 
   /// kNetworkDeliver dispatch: unparks the message, retires the channel if
@@ -254,9 +354,7 @@ class Network final : public EventSink {
   /// contributions were recorded at send time.
   void on_event(const Event& ev) override {
     InFlight flight = in_flight_.take(ev.payload);
-    if (flight.channel != kRemoteChannel) {
-      retire_channel(flight.channel);
-    }
+    if (flight.channel != kRemoteChannel) channels_.retire(flight.channel);
     deliver_(static_cast<topo::Rank>(ev.rank), std::move(flight.msg));
   }
 
@@ -284,12 +382,12 @@ class Network final : public EventSink {
   /// passed. Called by the sharded run loop at window boundaries. Holding an
   /// entry longer is always safe — once now >= arrival, clamping a future
   /// send against that arrival is a no-op — so laziness affects only the
-  /// channel map's size, never an arrival time.
+  /// channel table's size, never an arrival time.
   void flush_retirements() {
     while (!retire_heap_.empty() &&
            retire_heap_.front().first <= engine_->now()) {
       std::pop_heap(retire_heap_.begin(), retire_heap_.end(), RetireLater{});
-      retire_channel(retire_heap_.back().second);
+      channels_.retire(retire_heap_.back().second);
       retire_heap_.pop_back();
     }
   }
@@ -299,20 +397,13 @@ class Network final : public EventSink {
   std::size_t active_channels() const noexcept { return channels_.size(); }
 
  private:
-  struct Channel {
-    support::SimTime last_arrival = 0;
-    std::uint32_t in_flight = 0;
-  };
   struct InFlight {
     Message msg;
     std::uint64_t channel = 0;
   };
-  using ChannelMap = std::unordered_map<std::uint64_t, Channel>;
 
-  /// Channel key of a flight accepted from another shard. Real keys are
-  /// (src << 32) | dst with 32-bit ranks below UINT32_MAX, so the all-ones
-  /// key is never a live channel.
-  static constexpr std::uint64_t kRemoteChannel = ~std::uint64_t{0};
+  /// Channel key of a flight accepted from another shard: never live.
+  static constexpr std::uint64_t kRemoteChannel = ChannelTable::kNoKey;
 
   /// Most window boundaries one flight may load. A saturated (clamped)
   /// latency spans ~4e18 ns; without a cap that single flight would fold
@@ -328,10 +419,6 @@ class Network final : public EventSink {
       return a.first > b.first;
     }
   };
-
-  static std::uint64_t channel_key(topo::Rank src, topo::Rank dst) noexcept {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
 
   /// Converts a scaled latency from the double domain back to SimTime,
   /// saturating far below the wrap point: a huge congestion or fault
@@ -371,11 +458,10 @@ class Network final : public EventSink {
   /// One actual delivery: congested latency, fault latency multiplier,
   /// channel clamp, stats, and the kNetworkDeliver event.
   void enqueue(topo::Rank src, topo::Rank dst, Message msg,
-               std::uint32_t bytes, double latency_mult) {
-    support::SimTime latency =
-        latency_->message_latency(src, dst, bytes, engine_->now());
-    const bool congested =
-        congestion_.enabled && !latency_->layout().same_node(src, dst);
+               std::uint32_t bytes, const topo::Route& route,
+               double latency_mult) {
+    support::SimTime latency = route.latency;
+    const bool congested = congestion_.enabled && !route.same_node;
     if (congested || latency_mult != 1.0) {
       double scaled = static_cast<double>(latency);
       if (congested) {
@@ -399,26 +485,21 @@ class Network final : public EventSink {
     DWS_CHECK(latency >= 0);
     DWS_CHECK(latency <=
               std::numeric_limits<support::SimTime>::max() - engine_->now());
-    support::SimTime arrival = engine_->now() + latency;
 
     // MPI non-overtaking: a later send on the same channel may not arrive
     // before an earlier one (possible here when a small message chases a
-    // large one). Clamp to the channel's previous arrival time.
-    const std::uint64_t key = channel_key(src, dst);
-    if (const auto it = channels_.find(key); it != channels_.end()) {
-      if (arrival < it->second.last_arrival) arrival = it->second.last_arrival;
-      it->second.last_arrival = arrival;
-      ++it->second.in_flight;
-    } else {
-      open_channel(key, arrival);
-    }
+    // large one). The table clamps to the channel's previous arrival time.
+    const std::uint64_t key = ChannelTable::key(src, dst);
+    const support::SimTime arrival =
+        channels_.admit(key, engine_->now() + latency);
+    stats_.peak_channels = std::max(
+        stats_.peak_channels, static_cast<std::uint64_t>(channels_.size()));
 
-    count_message(src, dst, bytes);
+    count_message(route, bytes);
     if (congested) {
       // Record against the clamped arrival: the flight occupies links until
       // it actually lands.
-      record_flight(engine_->now(), arrival,
-                    static_cast<double>(latency_->hops(src, dst)));
+      record_flight(engine_->now(), arrival, static_cast<double>(route.hops));
     }
 
     if (router_ != nullptr && router_->is_remote(dst)) {
@@ -437,35 +518,10 @@ class Network final : public EventSink {
                          handle, src);
   }
 
-  void count_message(topo::Rank src, topo::Rank dst, std::uint32_t bytes) {
+  void count_message(const topo::Route& route, std::uint32_t bytes) {
     ++stats_.messages;
     stats_.bytes += bytes;
-    if (latency_->layout().same_node(src, dst)) ++stats_.intra_node_messages;
-  }
-
-  void open_channel(std::uint64_t key, support::SimTime arrival) {
-    if (spare_nodes_.empty()) {
-      channels_.emplace(key, Channel{arrival, 1});
-    } else {
-      // Recycle a retired map node: channel churn stays allocation-free.
-      auto node = std::move(spare_nodes_.back());
-      spare_nodes_.pop_back();
-      node.key() = key;
-      node.mapped() = Channel{arrival, 1};
-      channels_.insert(std::move(node));
-    }
-    stats_.peak_channels =
-        std::max(stats_.peak_channels,
-                 static_cast<std::uint64_t>(channels_.size()));
-  }
-
-  void retire_channel(std::uint64_t key) {
-    const auto it = channels_.find(key);
-    DWS_DCHECK(it != channels_.end());
-    DWS_DCHECK(it->second.in_flight > 0);
-    if (--it->second.in_flight == 0) {
-      spare_nodes_.push_back(channels_.extract(it));
-    }
+    if (route.same_node) ++stats_.intra_node_messages;
   }
 
   Engine* engine_;
@@ -483,8 +539,7 @@ class Network final : public EventSink {
   bool deferred_loads_ = false;
   std::vector<std::pair<std::uint64_t, double>> pending_loads_;
   NetworkStats stats_;
-  ChannelMap channels_;
-  std::vector<typename ChannelMap::node_type> spare_nodes_;
+  ChannelTable channels_;
   // (arrival, channel) of remote sends awaiting lazy retirement.
   std::vector<std::pair<support::SimTime, std::uint64_t>> retire_heap_;
   SlabPool<InFlight> in_flight_;

@@ -132,14 +132,4 @@ JobLayout JobLayout::slice(const JobLayout& parent, Rank base, Rank width) {
   return out;
 }
 
-NodeId JobLayout::node_of(Rank r) const {
-  DWS_CHECK(r < rank_to_node_.size());
-  return rank_to_node_[r];
-}
-
-const TofuCoord& JobLayout::coord_of(Rank r) const {
-  DWS_CHECK(r < rank_coord_.size());
-  return rank_coord_[r];
-}
-
 }  // namespace dws::topo

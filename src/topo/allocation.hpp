@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/check.hpp"
 #include "topo/tofu.hpp"
 
 namespace dws::topo {
@@ -47,8 +48,14 @@ class JobLayout {
   std::uint32_t procs_per_node() const noexcept { return procs_per_node_; }
   Placement placement() const noexcept { return placement_; }
 
-  NodeId node_of(Rank r) const;
-  const TofuCoord& coord_of(Rank r) const;
+  NodeId node_of(Rank r) const {
+    DWS_CHECK(r < rank_to_node_.size());
+    return rank_to_node_[r];
+  }
+  const TofuCoord& coord_of(Rank r) const {
+    DWS_CHECK(r < rank_coord_.size());
+    return rank_coord_[r];
+  }
   const std::vector<NodeId>& nodes() const noexcept { return nodes_; }
 
   bool same_node(Rank r1, Rank r2) const { return node_of(r1) == node_of(r2); }

@@ -62,36 +62,35 @@ std::uint64_t mix64(std::uint64_t z) {
 
 support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
                                                std::uint32_t bytes) const {
+  return resolve(src, dst, bytes, 0, false).latency;
+}
+
+Route LatencyModel::resolve(Rank src, Rank dst, std::uint32_t bytes,
+                            support::SimTime now, bool sample) const {
   const auto serialization =
       static_cast<support::SimTime>(static_cast<double>(bytes) / params_.bytes_per_ns);
   if (layout_->same_node(src, dst)) {
-    return params_.same_node + serialization;
+    return {params_.same_node + serialization, 0, true};
   }
   const auto& machine = layout_->machine();
   const auto& pc = layout_->coord_of(src);
   const auto& qc = layout_->coord_of(dst);
-  if (machine.same_blade(pc, qc)) {
-    return params_.same_blade + serialization;
-  }
   const std::int32_t h = machine.hops(pc, qc);
-  return params_.network_base + params_.per_hop * (h - 1) + serialization;
+  if (machine.same_blade(pc, qc)) {
+    return {params_.same_blade + serialization, h, false};
+  }
+  const support::SimTime distance =
+      sample ? sampled_distance(src, dst, bytes, now)
+             : params_.network_base + params_.per_hop * (h - 1);
+  return {distance + serialization, h, false};
 }
 
-support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
-                                               std::uint32_t bytes,
-                                               support::SimTime now) const {
-  if (!params_.sampling_enabled() || layout_->same_node(src, dst)) {
-    return message_latency(src, dst, bytes);
-  }
-  const auto& machine = layout_->machine();
-  if (machine.same_blade(layout_->coord_of(src), layout_->coord_of(dst))) {
-    return message_latency(src, dst, bytes);
-  }
-  // Network tier with the empirical backend on: replace the distance term by
-  // an inverse-CDF draw over the measured bins. Two mix rounds decorrelate
-  // the structured inputs (seed, channel, time, size).
-  const auto serialization =
-      static_cast<support::SimTime>(static_cast<double>(bytes) / params_.bytes_per_ns);
+support::SimTime LatencyModel::sampled_distance(Rank src, Rank dst,
+                                                std::uint32_t bytes,
+                                                support::SimTime now) const {
+  // Replace the distance term by an inverse-CDF draw over the measured bins.
+  // Two mix rounds decorrelate the structured inputs (seed, channel, time,
+  // size).
   std::uint64_t h = params_.sample_seed;
   h = mix64(h ^ (static_cast<std::uint64_t>(src) << 32 | dst));
   h = mix64(h ^ static_cast<std::uint64_t>(now));
@@ -108,11 +107,12 @@ support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
       const double span = static_cast<double>(bin.hi - bin.lo);
       const double draw = static_cast<double>(bin.lo) +
                           std::clamp(frac, 0.0, 1.0) * span;
-      return static_cast<support::SimTime>(draw) + serialization;
+      return static_cast<support::SimTime>(draw);
     }
     cum += w;
   }
-  return message_latency(src, dst, bytes);  // unreachable: back bin matched
+  DWS_CHECK(false && "the back bin always matches");
+  return 0;
 }
 
 std::int32_t LatencyModel::hops(Rank r1, Rank r2) const {

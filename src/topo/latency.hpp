@@ -55,6 +55,14 @@ struct LatencyParams {
 std::vector<LatencySampleBin> sample_bins_from_histogram(
     const support::Histogram& h);
 
+/// What sim::Network needs to know about one message, resolved from a single
+/// lookup of each rank's node and coordinates.
+struct Route {
+  support::SimTime latency = 0;  ///< one-way delivery latency, ns
+  std::int32_t hops = 0;         ///< network hops; 0 when co-located
+  bool same_node = false;        ///< shared-memory transport, no links
+};
+
 /// Computes message latency and victim-selection distances between ranks of
 /// one job. Stateless beyond cached coordinates: O(1) memory per query, no
 /// N x N tables (important when simulating 8192 ranks in-process).
@@ -67,12 +75,16 @@ class LatencyModel {
   support::SimTime message_latency(Rank src, Rank dst,
                                    std::uint32_t bytes) const;
 
-  /// Time-aware overload used by sim::Network: identical to the 3-arg form
+  /// The route of a `bytes`-byte message sent from src to dst at virtual
+  /// time `now`: its latency, hops() and same_node, in one call — the
+  /// per-send query of sim::Network. The latency equals message_latency()
   /// unless the empirical sampling backend is enabled, in which case `now`
-  /// (the virtual send time) salts the per-message draw. Keeping the 3-arg
-  /// form bit-unchanged keeps every existing golden stable.
-  support::SimTime message_latency(Rank src, Rank dst, std::uint32_t bytes,
-                                   support::SimTime now) const;
+  /// salts the network tier's per-message draw. Keeping message_latency()
+  /// unsampled keeps every existing golden stable.
+  Route route(Rank src, Rank dst, std::uint32_t bytes,
+              support::SimTime now) const {
+    return resolve(src, dst, bytes, now, params_.sampling_enabled());
+  }
 
   /// Hop count between the ranks' nodes (0 when co-located).
   std::int32_t hops(Rank r1, Rank r2) const;
@@ -89,6 +101,12 @@ class LatencyModel {
   const LatencyParams& params() const noexcept { return params_; }
 
  private:
+  Route resolve(Rank src, Rank dst, std::uint32_t bytes, support::SimTime now,
+                bool sample) const;
+  /// The sampling backend's network-tier distance term for one message.
+  support::SimTime sampled_distance(Rank src, Rank dst, std::uint32_t bytes,
+                                    support::SimTime now) const;
+
   const JobLayout* layout_;
   LatencyParams params_;
 };

@@ -119,8 +119,8 @@ TEST(SteadyStateAllocation, TypedEventLoopAllocatesNothing) {
 
 TEST(SteadyStateAllocation, NetworkSendDeliverAllocatesNothing) {
   // The full transport path: Network::send -> slab park -> kNetworkDeliver
-  // -> channel retire, on a fixed rank pair set so the channel-node
-  // recycling keeps the map churn allocation-free too.
+  // -> channel retire, on a fixed rank pair set so the channel table stops
+  // growing and its churn is allocation-free too.
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 16, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
@@ -145,7 +145,7 @@ TEST(SteadyStateAllocation, NetworkSendDeliverAllocatesNothing) {
   // many window sweeps to reach their peak cluster size with such a small
   // in-flight population, so we look for the first allocation-free window
   // rather than hardcoding the warm-up length. Per-message allocations
-  // (channel map nodes, parked-message copies) would taint every window.
+  // (channel table slots, parked-message copies) would taint every window.
   std::uint64_t last_window = 0;
   bool clean = false;
   for (int window = 0; window < 80 && !clean; ++window) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/histogram.hpp"
 #include "support/rng.hpp"
 
@@ -138,15 +140,15 @@ TEST_F(LatencyTest, SamplingBackendReplacesOnlyTheNetworkTier) {
   LatencyModel uniform(layout, LatencyParams{});
 
   // Same-blade pair (nodes 0 and 1): bins must not apply.
-  EXPECT_EQ(sampled.message_latency(0, 1, 0, 12345),
+  EXPECT_EQ(sampled.route(0, 1, 0, 12345).latency,
             uniform.message_latency(0, 1, 0));
   // Network pair: the draw lands inside the bins' envelope (plus zero
   // serialization at 0 bytes) and is far above the uniform model.
-  const auto far = sampled.message_latency(0, 95, 0, 12345);
+  const auto far = sampled.route(0, 95, 0, 12345).latency;
   EXPECT_GE(far, 10'000);
   EXPECT_LT(far, 40'000);
 
-  // The 3-arg overload stays bit-unchanged even with sampling configured —
+  // message_latency stays bit-unchanged even with sampling configured —
   // that is what keeps every pre-sampling golden stable.
   EXPECT_EQ(sampled.message_latency(0, 95, 0),
             uniform.message_latency(0, 95, 0));
@@ -161,15 +163,15 @@ TEST_F(LatencyTest, SamplingDrawsArePureFunctionsOfTheirInputs) {
 
   // Replayable: the same (src, dst, bytes, now) always draws the same value,
   // with no generator state (construction order is irrelevant).
-  const auto a = model.message_latency(0, 95, 64, 1'000'000);
-  EXPECT_EQ(a, model.message_latency(0, 95, 64, 1'000'000));
+  const auto a = model.route(0, 95, 64, 1'000'000).latency;
+  EXPECT_EQ(a, model.route(0, 95, 64, 1'000'000).latency);
   LatencyModel again(layout, params);
-  EXPECT_EQ(a, again.message_latency(0, 95, 64, 1'000'000));
+  EXPECT_EQ(a, again.route(0, 95, 64, 1'000'000).latency);
 
   // The send time salts the draw: different instants spread over the bin.
   bool varies = false;
   for (support::SimTime t = 0; t < 64 && !varies; ++t) {
-    varies = model.message_latency(0, 95, 64, t) != a;
+    varies = model.route(0, 95, 64, t).latency != a;
   }
   EXPECT_TRUE(varies);
 
@@ -179,10 +181,86 @@ TEST_F(LatencyTest, SamplingDrawsArePureFunctionsOfTheirInputs) {
   LatencyModel other(layout, reseeded);
   bool seed_reaches_draws = false;
   for (support::SimTime t = 0; t < 64 && !seed_reaches_draws; ++t) {
-    seed_reaches_draws = model.message_latency(0, 95, 64, t) !=
-                         other.message_latency(0, 95, 64, t);
+    seed_reaches_draws = model.route(0, 95, 64, t).latency !=
+                         other.route(0, 95, 64, t).latency;
   }
   EXPECT_TRUE(seed_reaches_draws);
+}
+
+/// The time-aware latency as a stand-alone formula: message_latency() for
+/// co-located and same-blade pairs and whenever sampling is off; otherwise
+/// the inverse-CDF draw over the bins keyed by (seed, channel, now, bytes),
+/// plus serialization. It pins route() to the values the simulator's goldens
+/// were recorded with.
+support::SimTime reference_latency(const LatencyModel& model, Rank src,
+                                   Rank dst, std::uint32_t bytes,
+                                   support::SimTime now) {
+  const LatencyParams& p = model.params();
+  const JobLayout& layout = model.layout();
+  if (!p.sampling_enabled() || layout.same_node(src, dst) ||
+      layout.machine().same_blade(layout.coord_of(src), layout.coord_of(dst))) {
+    return model.message_latency(src, dst, bytes);
+  }
+  const auto mix = [](std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::uint64_t h = p.sample_seed;
+  h = mix(h ^ (static_cast<std::uint64_t>(src) << 32 | dst));
+  h = mix(h ^ static_cast<std::uint64_t>(now));
+  h = mix(h ^ bytes);
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+  std::uint64_t total = 0;
+  for (const auto& bin : p.sample_bins) total += bin.weight;
+  const double target = u * static_cast<double>(total);
+  double cum = 0.0;
+  std::size_t i = 0;
+  while (i + 1 < p.sample_bins.size() &&
+         target >= cum + static_cast<double>(p.sample_bins[i].weight)) {
+    cum += static_cast<double>(p.sample_bins[i++].weight);
+  }
+  const LatencySampleBin& bin = p.sample_bins[i];
+  const double w = static_cast<double>(bin.weight);
+  const double frac = std::clamp(w > 0.0 ? (target - cum) / w : 0.0, 0.0, 1.0);
+  const double draw = static_cast<double>(bin.lo) +
+                      frac * static_cast<double>(bin.hi - bin.lo);
+  return static_cast<support::SimTime>(draw) +
+         static_cast<support::SimTime>(static_cast<double>(bytes) /
+                                       p.bytes_per_ns);
+}
+
+TEST_F(LatencyTest, RouteMatchesTheSeparateQueriesOnEveryPair) {
+  // A 1/N layout spanning two cubes and an 8G layout of 16 nodes: between
+  // them every tier (same node, same blade, network) appears.
+  const JobLayout one_per_node(machine_, 24, Placement::kOnePerNode);
+  const JobLayout grouped(machine_, 128, Placement::kGrouped, 8);
+  LatencyParams sampled;
+  sampled.sample_bins = {{2'000, 3'000, 5}, {3'000, 9'000, 2}, {9'000, 9'500, 1}};
+  sampled.sample_seed = 17;
+  for (const JobLayout* layout : {&one_per_node, &grouped}) {
+    for (const LatencyParams& params : {LatencyParams{}, sampled}) {
+      const LatencyModel model(*layout, params);
+      std::uint64_t network_pairs = 0;
+      for (Rank src = 0; src < layout->num_ranks(); ++src) {
+        for (Rank dst = 0; dst < layout->num_ranks(); ++dst) {
+          if (src == dst) continue;
+          const std::uint32_t bytes = (src * 7 + dst) % 3 * 280;
+          const support::SimTime now = (src + 3) * 1'000'003 + dst;
+          const Route r = model.route(src, dst, bytes, now);
+          ASSERT_EQ(r.latency, reference_latency(model, src, dst, bytes, now))
+              << src << "->" << dst;
+          ASSERT_EQ(r.hops, model.hops(src, dst)) << src << "->" << dst;
+          ASSERT_EQ(r.same_node, layout->same_node(src, dst))
+              << src << "->" << dst;
+          network_pairs += r.hops > 0 && !layout->machine().same_blade(
+                                             layout->coord_of(src),
+                                             layout->coord_of(dst));
+        }
+      }
+      EXPECT_GT(network_pairs, 0u);
+    }
+  }
 }
 
 TEST_F(LatencyTest, SampleBinsFromHistogramPreserveMass) {
