@@ -19,7 +19,6 @@
 #include "svc/params.hpp"
 #include "topo/allocation.hpp"
 #include "topo/latency.hpp"
-#include "topo/partition.hpp"
 #include "ws/scheduler.hpp"
 
 /// Internal machinery of the service runtime (DESIGN.md §13). The shapes
@@ -326,27 +325,5 @@ class Controller final : public sim::EventSink {
   std::vector<JobId> active_;         ///< sorted by id
   std::vector<JobId> lease_of_rank_;  ///< current owner per rank (kNoJob)
 };
-
-// ---- Internal seams between service.cpp and shard.cpp ----------------------
-
-/// Fold per-binding stats into per-rank and per-job results, running the
-/// always-on service audit (every binding done with an empty stack and no
-/// pre-admit messages parked; per-job chunks sent == received — work
-/// conservation under elastic grow/shrink). `muxes` is global-rank indexed
-/// and fully populated (the sharded caller stitches shards back together).
-/// Network/fault/engine statistics are the caller's to fill.
-ws::RunResult assemble_service_result(
-    const ws::RunConfig& config, const ServicePlan& plan,
-    const std::vector<JobRuntime>& runtimes,
-    const std::vector<const MuxWorker*>& muxes);
-
-/// Conservative-parallel execution of a service run (svc/shard.cpp), the
-/// svc twin of ws::run_sharded. Byte-identical results to the serial path
-/// for every configuration validate() admits.
-ws::RunResult run_service_sharded(const ws::RunConfig& config,
-                                  const ServicePlan& plan,
-                                  std::vector<JobRuntime>& runtimes,
-                                  sim::CongestionParams congestion,
-                                  topo::ShardPartition part);
 
 }  // namespace dws::svc

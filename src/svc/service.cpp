@@ -5,11 +5,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "support/check.hpp"
 #include "svc/mux.hpp"
-#include "topo/partition.hpp"
 #include "uts/sequential.hpp"
+#include "ws/shard.hpp"
 
 namespace dws::svc {
 
@@ -42,149 +41,150 @@ void fold_stats(metrics::RankStats& into, const metrics::RankStats& s) {
   into.finish_time = std::max(into.finish_time, s.finish_time);
 }
 
-}  // namespace
+/// run_windowed's service binding: one MuxWorker per rank, plus the
+/// controller on shard 0 (the shard owning global rank 0). Every admission
+/// decision then flows from shard-0-local event order (kSvcArrival and
+/// JobDone deliveries), which the merge rule makes shard-count invariant;
+/// the control plane adds no new cross-shard edges — admits, leases and
+/// dones are ordinary kReliable network sends and kSvcArrival never leaves
+/// shard 0.
+struct SvcBinding {
+  using Payload = Envelope;
+  using Deliver = DeliverToMux;
+  struct Local {
+    /// num_ranks wide, so DeliverToMux can index by global rank; slots of
+    /// ranks on other shards stay null.
+    std::vector<std::unique_ptr<MuxWorker>> muxes;
+    ServiceContext ctx;
+    std::unique_ptr<Controller> controller;  ///< shard 0 only
+  };
 
-ws::RunResult assemble_service_result(
-    const ws::RunConfig& config, const ServicePlan& plan,
-    const std::vector<JobRuntime>& runtimes,
-    const std::vector<const MuxWorker*>& muxes) {
-  ws::RunResult result;
-  result.num_ranks = config.num_ranks;
-  result.per_node_cost = config.ws.node_cost();
-  result.per_rank.assign(config.num_ranks, metrics::RankStats{});
-  result.jobs.reserve(plan.jobs.size());
+  const ws::RunConfig& config;
+  const ServicePlan& plan;
+  std::vector<JobRuntime>& runtimes;
 
-  // Per-job accumulation in job-id order. Iterating job ids (not the muxes'
-  // hash maps) keeps the double sums deterministic.
-  for (const JobSpec& spec : plan.jobs) {
-    const JobRuntime& rt = runtimes[spec.id];
-    DWS_CHECK(rt.admitted());
-    DWS_CHECK(rt.finish >= rt.admit);
+  Deliver deliver(Local& local) { return DeliverToMux{&local.muxes}; }
 
-    metrics::JobOutcome out;
-    out.job_id = spec.id;
-    out.tree = spec.tree.name;
-    out.root_seed = spec.tree.root_seed;
-    out.base = rt.base;
-    out.width = rt.width;
-    out.arrival = spec.arrival;
-    out.admit = rt.admit;
-    out.finish = rt.finish;
+  void populate(ws::Shard<SvcBinding>& shard,
+                const std::vector<topo::Rank>& ranks, bool /*sharded*/) {
+    Local& local = shard.local;
+    ServiceContext& ctx = local.ctx;
+    ctx.engine = &shard.engine;
+    ctx.network = shard.network.get();
+    ctx.config = &config;
+    ctx.plan = &plan;
+    ctx.faults = shard.faults;
+    ctx.muxes = &local.muxes;
+    ctx.runtimes = runtimes.data();
 
-    support::SimTime first = -1;
-    for (topo::Rank r = rt.base; r < rt.base + rt.width; ++r) {
-      const auto it = muxes[r]->bindings().find(spec.id);
-      DWS_CHECK(it != muxes[r]->bindings().end());
-      const JobBinding& b = *it->second;
-      DWS_CHECK(b.done());
-      DWS_CHECK(b.stack_size() == 0);
-      const metrics::RankStats& s = b.stats();
-      out.nodes += s.nodes_processed;
-      out.leaves += s.leaves_seen;
-      out.chunks_sent += s.chunks_sent;
-      out.chunks_received += s.chunks_received;
-      out.steal_attempts += s.steal_attempts;
-      out.successful_steals += s.successful_steals;
-      if (b.first_compute() >= 0) {
-        first = first < 0 ? b.first_compute()
-                          : std::min(first, b.first_compute());
-      }
-      fold_stats(result.per_rank[r], s);
+    local.muxes.resize(config.num_ranks);
+    for (topo::Rank r : ranks) {
+      local.muxes[r] = std::make_unique<MuxWorker>(r, ctx);
     }
-    // Work conservation per job: every chunk a binding shipped — steals and
-    // lease-relinquish pushes alike — landed at a binding of the same job.
-    DWS_CHECK(out.chunks_sent == out.chunks_received);
-    DWS_CHECK(out.nodes >= 1);  // at least the root was expanded
-    DWS_CHECK(first >= out.admit);
-    out.first_compute = first;
-    DWS_CHECK(out.finish >= out.first_compute);
-
-    result.nodes += out.nodes;
-    result.leaves += out.leaves;
-    result.runtime = std::max(result.runtime, out.finish);
-    result.jobs.push_back(std::move(out));
+    if (shard.engine.shard_id() == 0) {
+      local.controller = std::make_unique<Controller>(ctx);
+      ctx.controller = local.controller.get();
+      // kSvcArrival events only ever live on this engine. No global
+      // termination flag: the engines drain naturally once every job's
+      // protocol went quiet (plus any stale timers, which no-op).
+      local.controller->schedule_arrivals();
+    }
   }
 
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    DWS_CHECK(muxes[r]->pending_messages() == 0);
+  void on_window() {}
+
+  /// Checks the always-on service audit — every job admitted and retired,
+  /// no envelope or timer payload leaked, every binding done with an empty
+  /// stack and no pre-admit messages parked, per-job chunks sent == received
+  /// (work conservation under elastic grow/shrink) — and folds per-binding
+  /// stats into per-rank and per-job results.
+  ws::RunResult finish(const std::vector<const Local*>& locals,
+                       const std::vector<std::uint32_t>& shard_of_rank) const {
+    auto mux = [&](topo::Rank r) -> const MuxWorker& {
+      return *locals[shard_of_rank[r]]->muxes[r];
+    };
+    DWS_CHECK(locals[0]->controller->all_done());
+    DWS_CHECK(locals[0]->controller->queued() == 0);
+    for (const Local* local : locals) {
+      DWS_CHECK(local->ctx.deferred.in_use() == 0);
+      DWS_CHECK(local->ctx.timers.in_use() == 0);
+    }
+
+    ws::RunResult result;
+    result.num_ranks = config.num_ranks;
+    result.per_node_cost = config.ws.node_cost();
+    result.per_rank.assign(config.num_ranks, metrics::RankStats{});
+    result.jobs.reserve(plan.jobs.size());
+
+    // Per-job accumulation in job-id order. Iterating job ids (not the muxes'
+    // hash maps) keeps the double sums deterministic.
+    for (const JobSpec& spec : plan.jobs) {
+      const JobRuntime& rt = runtimes[spec.id];
+      DWS_CHECK(rt.admitted());
+      DWS_CHECK(rt.finish >= rt.admit);
+
+      metrics::JobOutcome out;
+      out.job_id = spec.id;
+      out.tree = spec.tree.name;
+      out.root_seed = spec.tree.root_seed;
+      out.base = rt.base;
+      out.width = rt.width;
+      out.arrival = spec.arrival;
+      out.admit = rt.admit;
+      out.finish = rt.finish;
+
+      support::SimTime first = -1;
+      for (topo::Rank r = rt.base; r < rt.base + rt.width; ++r) {
+        const auto it = mux(r).bindings().find(spec.id);
+        DWS_CHECK(it != mux(r).bindings().end());
+        const JobBinding& b = *it->second;
+        DWS_CHECK(b.done());
+        DWS_CHECK(b.stack_size() == 0);
+        const metrics::RankStats& s = b.stats();
+        out.nodes += s.nodes_processed;
+        out.leaves += s.leaves_seen;
+        out.chunks_sent += s.chunks_sent;
+        out.chunks_received += s.chunks_received;
+        out.steal_attempts += s.steal_attempts;
+        out.successful_steals += s.successful_steals;
+        if (b.first_compute() >= 0) {
+          first = first < 0 ? b.first_compute()
+                            : std::min(first, b.first_compute());
+        }
+        fold_stats(result.per_rank[r], s);
+      }
+      // Work conservation per job: every chunk a binding shipped — steals and
+      // lease-relinquish pushes alike — landed at a binding of the same job.
+      DWS_CHECK(out.chunks_sent == out.chunks_received);
+      DWS_CHECK(out.nodes >= 1);  // at least the root was expanded
+      DWS_CHECK(first >= out.admit);
+      out.first_compute = first;
+      DWS_CHECK(out.finish >= out.first_compute);
+
+      result.nodes += out.nodes;
+      result.leaves += out.leaves;
+      result.runtime = std::max(result.runtime, out.finish);
+      result.jobs.push_back(std::move(out));
+    }
+
+    for (topo::Rank r = 0; r < config.num_ranks; ++r) {
+      DWS_CHECK(mux(r).pending_messages() == 0);
+    }
+    result.stats = metrics::aggregate(result.per_rank);
+    return result;
   }
-  result.stats = metrics::aggregate(result.per_rank);
-  return result;
-}
+};
+
+}  // namespace
 
 ws::RunResult run_service(const ws::RunConfig& config) {
   DWS_CHECK(config.svc.enabled);
   DWS_CHECK(config.num_ranks >= 1);
 
   const ServicePlan plan(config);
-
-  // Congestion re-anchoring, exactly as ws::run_simulation does it.
-  sim::CongestionParams congestion = config.congestion;
-  if (congestion.enabled && config.congestion_scale > 0.0) {
-    congestion.capacity_hops =
-        config.congestion_scale * 5.0 *
-        static_cast<double>(config.num_ranks / config.procs_per_node);
-  }
-
   std::vector<JobRuntime> runtimes(plan.jobs.size());
-
-  if (config.sim_shards > 1) {
-    topo::ShardPartition part =
-        topo::partition_ranks(plan.layout, config.latency, config.sim_shards);
-    if (part.num_shards > 1) {
-      return run_service_sharded(config, plan, runtimes, congestion,
-                                 std::move(part));
-    }
-  }
-
-  sim::Engine engine;
-  std::vector<std::unique_ptr<MuxWorker>> muxes;
-
-  fault::Injector injector(config.fault, config.num_ranks);
-  fault::Injector* faults = injector.enabled() ? &injector : nullptr;
-
-  SvcNetwork network(engine, plan.latency, DeliverToMux{&muxes}, congestion,
-                     faults);
-
-  ServiceContext ctx;
-  ctx.engine = &engine;
-  ctx.network = &network;
-  ctx.config = &config;
-  ctx.plan = &plan;
-  ctx.faults = faults;
-  ctx.muxes = &muxes;
-  ctx.runtimes = runtimes.data();
-
-  muxes.reserve(config.num_ranks);
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    muxes.push_back(std::make_unique<MuxWorker>(r, ctx));
-  }
-  Controller controller(ctx);
-  ctx.controller = &controller;
-  controller.schedule_arrivals();
-
-  // No global termination flag: the engine drains naturally once every
-  // job's protocol went quiet (plus any stale timers, which no-op).
-  engine.run();
-
-  DWS_CHECK(controller.all_done());
-  DWS_CHECK(controller.queued() == 0);
-  DWS_CHECK(ctx.deferred.in_use() == 0);
-  DWS_CHECK(ctx.timers.in_use() == 0);
-
-  std::vector<const MuxWorker*> mux_ptrs;
-  mux_ptrs.reserve(config.num_ranks);
-  for (const auto& m : muxes) mux_ptrs.push_back(m.get());
-
-  ws::RunResult result =
-      assemble_service_result(config, plan, runtimes, mux_ptrs);
-  result.network = network.stats();
-  result.faults = injector.stats();
-  result.engine_events = engine.events_executed();
-  result.engine_peak_pending = engine.max_pending();
-  result.shards_used = 1;
-  result.merge_ambiguities = engine.merge_ambiguities();
-  return result;
+  SvcBinding binding{config, plan, runtimes};
+  return ws::run_windowed(config, plan.layout, plan.latency, binding);
 }
 
 ws::RunResult checked_service_run(const ws::RunConfig& config) {

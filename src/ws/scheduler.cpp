@@ -1,11 +1,10 @@
 #include "ws/scheduler.hpp"
 
 #include <memory>
-#include <utility>
+#include <vector>
 
-#include "sim/engine.hpp"
+#include "proto/replay.hpp"
 #include "support/check.hpp"
-#include "topo/partition.hpp"
 #include "ws/shard.hpp"
 #include "ws/worker.hpp"
 
@@ -136,7 +135,7 @@ support::Status RunConfig::validate() const {
     return support::Status::error("sim_shards must be >= 1");
   }
   if (congestion_scale > 0.0 && !congestion.enabled) {
-    // Re-anchoring (run_simulation) only applies the scale when the model is
+    // Re-anchoring (run_congestion) only applies the scale when the model is
     // on; a scale without the model would be silently ignored.
     return support::Status::error(
         "congestion_scale > 0 requires congestion.enabled (use "
@@ -254,6 +253,106 @@ support::Status RunConfig::validate() const {
   return support::Status::ok();
 }
 
+namespace {
+
+/// run_windowed's single-job binding: one ws::Worker per rank, bootstrapped
+/// by kWorkerStart at t = 0. An attached observer sees hooks directly on the
+/// serial path; sharded, each shard buffers its hooks and on_window replays
+/// them merged in time order.
+struct WsBinding {
+  using Payload = Message;
+  using Deliver = DeliverToWorkers;
+  struct Local {
+    /// num_ranks wide, so DeliverToWorkers can index by global rank; slots
+    /// of ranks on other shards stay null.
+    std::vector<std::unique_ptr<Worker>> workers;
+    RunContext ctx;
+    std::unique_ptr<proto::BufferedObserver> buffer;
+  };
+
+  const RunConfig& config;
+  const topo::LatencyModel& latency;
+  RunObserver* observer = nullptr;
+  std::vector<proto::BufferedObserver*> buffers;  ///< by shard; sharded only
+
+  Deliver deliver(Local& local) { return DeliverToWorkers{&local.workers}; }
+
+  void populate(Shard<WsBinding>& shard, const std::vector<topo::Rank>& ranks,
+                bool sharded) {
+    Local& local = shard.local;
+    RunContext& ctx = local.ctx;
+    ctx.engine = &shard.engine;
+    ctx.network = shard.network.get();
+    ctx.config = &config.ws;
+    ctx.tree = &config.tree;
+    ctx.latency = &latency;
+    ctx.num_ranks = config.num_ranks;
+    ctx.observer = observer;
+    ctx.faults = shard.faults;
+    if (sharded && observer != nullptr) {
+      sim::Engine* engine = &shard.engine;
+      local.buffer = std::make_unique<proto::BufferedObserver>(
+          [engine] { return engine->now(); });
+      ctx.observer = local.buffer.get();
+      buffers.push_back(local.buffer.get());
+    }
+
+    local.workers.resize(config.num_ranks);
+    // Ascending rank order on every shard: the kWorkerStart events get the
+    // same relative seq order as in the serial run.
+    for (topo::Rank r : ranks) {
+      local.workers[r] = std::make_unique<Worker>(r, ctx);
+      shard.engine.schedule_at(0, *local.workers[r],
+                               sim::EventKind::kWorkerStart, r);
+    }
+  }
+
+  void on_window() {
+    if (observer != nullptr) {
+      proto::BufferedObserver::replay_merged(buffers, *observer);
+    }
+  }
+
+  RunResult finish(const std::vector<const Local*>& locals,
+                   const std::vector<std::uint32_t>& shard_of_rank) const {
+    // Post-run invariants: the token protocol must have fired (rank 0 owns
+    // the flag), every worker must have drained its stack, and every
+    // shipped chunk must have landed.
+    const RunContext& ctx0 = locals[0]->ctx;
+    DWS_CHECK(ctx0.terminated);
+
+    RunResult result;
+    result.runtime = ctx0.termination_time;
+    result.num_ranks = config.num_ranks;
+    result.per_node_cost = config.ws.node_cost();
+    result.per_rank.reserve(config.num_ranks);
+    if (config.ws.record_trace) {
+      result.trace.total_time = result.runtime;
+      result.trace.ranks.reserve(config.num_ranks);
+    }
+    // Global rank order, so records and aggregates are byte-identical at
+    // every shard count.
+    std::uint64_t chunks_sent = 0;
+    std::uint64_t chunks_received = 0;
+    for (topo::Rank r = 0; r < config.num_ranks; ++r) {
+      const Worker& w = *locals[shard_of_rank[r]]->workers[r];
+      DWS_CHECK(w.done());
+      DWS_CHECK(w.stack_size() == 0);
+      chunks_sent += w.stats().chunks_sent;
+      chunks_received += w.stats().chunks_received;
+      result.nodes += w.stats().nodes_processed;
+      result.leaves += w.stats().leaves_seen;
+      result.per_rank.push_back(w.stats());
+      if (config.ws.record_trace) result.trace.ranks.push_back(w.trace());
+    }
+    DWS_CHECK(chunks_sent == chunks_received);
+    result.stats = metrics::aggregate(result.per_rank);
+    return result;
+  }
+};
+
+}  // namespace
+
 RunResult run_simulation(const RunConfig& config, RunObserver* observer) {
   DWS_CHECK(config.num_ranks >= 1);
   DWS_CHECK(!config.svc.enabled &&
@@ -262,97 +361,8 @@ RunResult run_simulation(const RunConfig& config, RunObserver* observer) {
   topo::JobLayout layout(config.machine, config.num_ranks, config.placement,
                          config.procs_per_node, config.origin_cube);
   topo::LatencyModel latency(layout, config.latency);
-
-  // Re-anchor the congestion capacity when it was requested as a scale of
-  // the allocation size and the ranks changed since (sweep axes do this).
-  // Resolved before the shard dispatch so the serial and sharded paths run
-  // the same model.
-  sim::CongestionParams congestion = config.congestion;
-  if (congestion.enabled && config.congestion_scale > 0.0) {
-    congestion.capacity_hops =
-        config.congestion_scale * 5.0 *
-        static_cast<double>(config.num_ranks / config.procs_per_node);
-  }
-
-  if (config.sim_shards > 1) {
-    topo::ShardPartition part =
-        topo::partition_ranks(layout, config.latency, config.sim_shards);
-    // A one-node job degenerates to one shard; fall through to the
-    // single-engine path rather than spinning up the window machinery.
-    if (part.num_shards > 1) {
-      return run_sharded(config, layout, latency, congestion, std::move(part),
-                         observer);
-    }
-  }
-
-  sim::Engine engine;
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(config.num_ranks);
-
-  // The injector lives for the whole run; network and workers share it. A
-  // null pointer (no faults) keeps the hot paths on their zero-cost branch.
-  fault::Injector injector(config.fault, config.num_ranks);
-  fault::Injector* faults = injector.enabled() ? &injector : nullptr;
-
-  WsNetwork network(engine, latency, DeliverToWorkers{&workers}, congestion,
-                    faults);
-
-  RunContext ctx;
-  ctx.engine = &engine;
-  ctx.network = &network;
-  ctx.config = &config.ws;
-  ctx.tree = &config.tree;
-  ctx.latency = &latency;
-  ctx.num_ranks = config.num_ranks;
-  ctx.observer = observer;
-  ctx.faults = faults;
-
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    workers.push_back(std::make_unique<Worker>(r, ctx));
-  }
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    engine.schedule_at(0, *workers[r], sim::EventKind::kWorkerStart, r);
-  }
-
-  engine.run();
-
-  // Post-run invariants: the token protocol must have fired, every worker
-  // must have drained its stack, and every shipped chunk must have landed.
-  DWS_CHECK(ctx.terminated);
-  std::uint64_t chunks_sent = 0;
-  std::uint64_t chunks_received = 0;
-  for (const auto& w : workers) {
-    DWS_CHECK(w->done());
-    DWS_CHECK(w->stack_size() == 0);
-    chunks_sent += w->stats().chunks_sent;
-    chunks_received += w->stats().chunks_received;
-  }
-  DWS_CHECK(chunks_sent == chunks_received);
-
-  RunResult result;
-  result.runtime = ctx.termination_time;
-  result.num_ranks = config.num_ranks;
-  result.per_node_cost = config.ws.node_cost();
-  result.per_rank.reserve(config.num_ranks);
-  for (const auto& w : workers) {
-    result.nodes += w->stats().nodes_processed;
-    result.leaves += w->stats().leaves_seen;
-    result.per_rank.push_back(w->stats());
-  }
-  result.stats = metrics::aggregate(result.per_rank);
-  result.network = network.stats();
-  result.faults = injector.stats();
-  result.engine_events = engine.events_executed();
-  result.engine_peak_pending = engine.max_pending();
-  result.shards_used = 1;
-  result.merge_ambiguities = engine.merge_ambiguities();
-
-  if (config.ws.record_trace) {
-    result.trace.total_time = ctx.termination_time;
-    result.trace.ranks.reserve(config.num_ranks);
-    for (const auto& w : workers) result.trace.ranks.push_back(w->trace());
-  }
-  return result;
+  WsBinding binding{config, latency, observer, {}};
+  return run_windowed(config, layout, latency, binding);
 }
 
 }  // namespace dws::ws

@@ -76,9 +76,9 @@ struct RunConfig {
   /// (backend=rt, zero-latency cross-node tiers).
   std::uint32_t sim_shards = 1;
 
-  /// When > 0, enable_congestion(scale) was called: run_simulation re-anchors
-  /// capacity_hops to the *current* ranks/procs at run time, so a sweep axis
-  /// that changes num_ranks after the call still gets the right capacity.
+  /// > 0 once enable_congestion(scale) was called: run_congestion() then
+  /// re-anchors capacity_hops to the *current* ranks/procs at run time, so a
+  /// sweep axis that changes num_ranks after the call gets the right capacity.
   double congestion_scale = 0.0;
 
   /// Enable the fluid congestion model with capacity anchored to the job's
@@ -87,8 +87,18 @@ struct RunConfig {
   void enable_congestion(double scale = 1.0) {
     congestion_scale = scale;
     congestion.enabled = true;
-    congestion.capacity_hops =
-        scale * 5.0 * static_cast<double>(num_ranks / procs_per_node);
+    congestion.capacity_hops = anchored_capacity_hops(scale);
+  }
+
+  /// The congestion model a run executes: `congestion`, with capacity_hops
+  /// re-anchored to the current allocation when enable_congestion(scale)
+  /// asked for a scale of it.
+  sim::CongestionParams run_congestion() const {
+    sim::CongestionParams resolved = congestion;
+    if (resolved.enabled && congestion_scale > 0.0) {
+      resolved.capacity_hops = anchored_capacity_hops(congestion_scale);
+    }
+    return resolved;
   }
 
   /// Checks everything run_simulation would otherwise abort on mid-run via
@@ -96,6 +106,11 @@ struct RunConfig {
   /// zero chunk size, zero alias-table threshold, out-of-machine origin,
   /// supercritical binomial trees, ... Returns the first problem found.
   support::Status validate() const;
+
+ private:
+  double anchored_capacity_hops(double scale) const {
+    return scale * 5.0 * static_cast<double>(num_ranks / procs_per_node);
+  }
 };
 
 /// Results of one run: timings, the paper's metrics inputs, and everything
@@ -149,10 +164,6 @@ struct RunResult {
   }
   double efficiency() const noexcept {
     return num_ranks > 0 ? speedup() / static_cast<double>(num_ranks) : 0.0;
-  }
-  [[deprecated("num_ranks is stored in RunResult; use efficiency()")]]
-  double efficiency(topo::Rank ranks) const noexcept {
-    return speedup() / static_cast<double>(ranks);
   }
 };
 
