@@ -1,13 +1,19 @@
-/// Committed-golden regression test: the fig06 quick sweep, run under the
-/// audit observer, must reproduce tests/golden/fig06_quick.jsonl BYTE FOR
-/// BYTE. The file was generated on the pre-refactor closure event core, so
-/// this pins the typed event core (calendar queue, slab pools, EventSink
-/// dispatch) to the exact (time, seq) schedule — and with it every counter,
-/// trace, and metric — of the original engine.
+/// Committed-golden regression tests: record streams, run under the audit
+/// observer (single-job points) or the service conservation oracle (service
+/// points), must reproduce the files under tests/golden BYTE FOR BYTE.
 ///
-/// The records are written in schema v1 compatibility mode, matching the
-/// version the file was generated with; v2's extra fields would otherwise
-/// change the bytes without changing the simulation.
+///  - fig06_quick.jsonl was generated on the pre-refactor closure event core,
+///    so it pins the typed event core (calendar queue, slab pools, EventSink
+///    dispatch) to the exact (time, seq) schedule — and with it every
+///    counter, trace, and metric — of the original engine. Its records are
+///    written in schema v1 compatibility mode, matching the version the file
+///    was generated with; later versions' extra fields would otherwise change
+///    the bytes without changing the simulation.
+///  - executor_quick.jsonl pins the per-rank executor paths fig06 leaves
+///    untouched: one-sided steals, lifelines, adaptive selection and amount
+///    switching under the full fault model, and the service layer's
+///    space-shared, elastic time-shared and faulted streams. It is written
+///    at the current schema.
 ///
 /// To regenerate after an *intentional* semantic change, run this binary
 /// with DWS_UPDATE_GOLDEN=1 in the environment and commit the diff with an
@@ -16,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +31,7 @@
 #include "exp/record.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "svc/params.hpp"
 #include "uts/params.hpp"
 
 #ifndef DWS_GOLDEN_DIR
@@ -33,13 +41,32 @@
 namespace dws::audit {
 namespace {
 
-std::string golden_path() {
-  return std::string(DWS_GOLDEN_DIR) + "/fig06_quick.jsonl";
+std::string golden_path(const std::string& name) {
+  return std::string(DWS_GOLDEN_DIR) + "/" + name;
+}
+
+/// Runs `points` serially through checked_run and renders every record.
+std::string render_records(const std::vector<exp::SweepPoint>& points,
+                           int schema_version) {
+  exp::RunnerOptions options;
+  options.threads = 1;  // serial: the goldens were generated serially
+  options.progress = false;
+  options.run = [](const ws::RunConfig& cfg) { return checked_run(cfg); };
+  const exp::SweepReport report = exp::SweepRunner(options).run(points);
+  EXPECT_TRUE(report.all_ok());
+
+  exp::RecordOptions record_options{exp::RecordFormat::kJsonl,
+                                    /*wall_clock=*/false};
+  record_options.schema_version = schema_version;
+  std::ostringstream out;
+  exp::RecordWriter writer(out, record_options);
+  writer.write_report(points, report);
+  return out.str();
 }
 
 /// The fig06 --quick sweep: SIM200K, ranks {128, 256}, the paper's four
 /// series, chunk 4, congestion on. Must match the generator exactly.
-std::string generate_records() {
+std::string fig06_records() {
   ws::RunConfig base;
   base.tree = uts::tree_by_name("SIM200K");
   base.ws.chunk_size = 4;
@@ -53,39 +80,103 @@ std::string generate_records() {
                               exp::make_series(exp::kRand, exp::k8G)}));
   const auto expanded = spec.expand();
   EXPECT_TRUE(expanded);
-
-  exp::RunnerOptions options;
-  options.threads = 1;  // serial: the golden was generated serially
-  options.progress = false;
-  options.run = [](const ws::RunConfig& cfg) { return checked_run(cfg); };
-  const exp::SweepReport report =
-      exp::SweepRunner(options).run(expanded.value());
-  EXPECT_TRUE(report.all_ok());
-
-  exp::RecordOptions record_options{exp::RecordFormat::kJsonl,
-                                    /*wall_clock=*/false};
-  record_options.schema_version = 1;  // the version the golden was cut at
-  std::ostringstream out;
-  exp::RecordWriter writer(out, record_options);
-  writer.write_report(expanded.value(), report);
-  return out.str();
+  return render_records(expanded.value(), /*schema_version=*/1);
 }
 
-TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
-  const std::string generated = generate_records();
-  ASSERT_FALSE(generated.empty());
+/// The executor points: TEST_BIN_SMALL at 64 ranks, one config each.
+std::string executor_records() {
+  ws::RunConfig base;
+  base.tree = uts::tree_by_name("TEST_BIN_SMALL");
+  base.num_ranks = 64;
+  base.ws.chunk_size = 4;
 
-  if (std::getenv("DWS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path(), std::ios::binary);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << golden_path();
-    out << generated;
-    GTEST_SKIP() << "regenerated " << golden_path();
+  auto faulted = [](ws::RunConfig cfg) {
+    cfg.fault.drop_prob = 0.02;
+    cfg.fault.dup_prob = 0.02;
+    cfg.fault.jitter_frac = 0.3;
+    cfg.fault.straggler_ranks = 2;
+    cfg.fault.pause_ranks = 2;
+    cfg.fault.pause_duration = 50'000;
+    cfg.fault.pause_window = 200'000;
+    cfg.fault.seed = 5;
+    cfg.ws.steal_timeout = 50'000;
+    cfg.ws.token_timeout = 2'000'000;
+    return cfg;
+  };
+
+  std::vector<ws::RunConfig> configs;
+  {
+    ws::RunConfig cfg = base;
+    cfg.ws.one_sided_steals = true;
+    configs.push_back(cfg);
+  }
+  {
+    ws::RunConfig cfg = base;
+    cfg.ws.idle_policy = ws::IdlePolicy::kLifeline;
+    configs.push_back(cfg);
+  }
+  {
+    ws::RunConfig cfg = faulted(base);
+    cfg.ws.victim_policy = ws::VictimPolicy::kAdaptive;
+    cfg.ws.steal_amount = ws::StealAmount::kHalf;
+    cfg.ws.adaptive_steal_amount = true;
+    configs.push_back(cfg);
   }
 
-  std::ifstream in(golden_path(), std::ios::binary);
+  // The three ServiceShard streams (tests/audit/service_shard_test.cpp).
+  ws::RunConfig stream = base;
+  stream.svc.enabled = true;
+  stream.svc.seed = 4;
+  {
+    ws::RunConfig cfg = stream;
+    cfg.svc.arrival = svc::ArrivalKind::kPoisson;
+    cfg.svc.num_jobs = 6;
+    cfg.svc.mean_interarrival = 300'000;
+    cfg.svc.alloc = svc::AllocPolicy::kSpaceShare;
+    cfg.svc.ranks_per_job = 16;
+    configs.push_back(cfg);
+  }
+  {
+    ws::RunConfig cfg = stream;
+    cfg.svc.arrival = svc::ArrivalKind::kTrace;
+    cfg.svc.trace = {0, 200'000, 400'000, 600'000, 800'000, 1'000'000};
+    cfg.svc.alloc = svc::AllocPolicy::kTimeShare;
+    configs.push_back(cfg);
+  }
+  {
+    ws::RunConfig cfg = faulted(stream);
+    cfg.svc.arrival = svc::ArrivalKind::kPoisson;
+    cfg.svc.num_jobs = 4;
+    cfg.svc.mean_interarrival = 400'000;
+    cfg.svc.alloc = svc::AllocPolicy::kSpaceShare;
+    cfg.svc.ranks_per_job = 32;
+    configs.push_back(cfg);
+  }
+
+  std::vector<exp::SweepPoint> points;
+  for (const ws::RunConfig& cfg : configs) {
+    points.push_back(exp::SweepPoint{points.size(), {}, cfg});
+  }
+  return render_records(points, exp::kRecordSchemaVersion);
+}
+
+/// Compares `generated` with the committed golden `name`, or rewrites the
+/// golden under DWS_UPDATE_GOLDEN.
+void expect_matches_golden(const std::string& name,
+                           const std::string& generated) {
+  ASSERT_FALSE(generated.empty());
+  const std::string path = golden_path(name);
+
+  if (std::getenv("DWS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+    out << generated;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.is_open())
-      << "missing " << golden_path()
-      << " (run with DWS_UPDATE_GOLDEN=1 to create it)";
+      << "missing " << path << " (run with DWS_UPDATE_GOLDEN=1 to create it)";
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string expected = buf.str();
@@ -108,6 +199,14 @@ TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
     FAIL() << "golden mismatch first diverges at line " << line << ", column "
            << col;
   }
+}
+
+TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
+  expect_matches_golden("fig06_quick.jsonl", fig06_records());
+}
+
+TEST(GoldenFile, ExecutorQuickIsByteIdenticalUnderAudit) {
+  expect_matches_golden("executor_quick.jsonl", executor_records());
 }
 
 }  // namespace
