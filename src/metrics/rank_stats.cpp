@@ -6,6 +6,35 @@
 
 namespace dws::metrics {
 
+// Every RankStats field is 8 bytes wide; a new one must join accumulate().
+static_assert(sizeof(RankStats) == 22 * 8,
+              "RankStats gained or lost a field: update accumulate()");
+
+void accumulate(RankStats& into, const RankStats& s) {
+  into.nodes_processed += s.nodes_processed;
+  into.leaves_seen += s.leaves_seen;
+  into.steal_attempts += s.steal_attempts;
+  into.failed_steals += s.failed_steals;
+  into.successful_steals += s.successful_steals;
+  into.requests_served += s.requests_served;
+  into.chunks_sent += s.chunks_sent;
+  into.chunks_received += s.chunks_received;
+  into.steal_timeouts += s.steal_timeouts;
+  into.steal_retries += s.steal_retries;
+  into.duplicate_responses += s.duplicate_responses;
+  into.token_regens += s.token_regens;
+  into.amount_switches += s.amount_switches;
+  into.steal_distance_sum += s.steal_distance_sum;
+  into.lifeline_registrations += s.lifeline_registrations;
+  into.lifeline_pushes += s.lifeline_pushes;
+  into.sessions += s.sessions;
+  into.total_session_time += s.total_session_time;
+  into.total_search_time += s.total_search_time;
+  into.total_gather_time += s.total_gather_time;
+  into.remote_inputs += s.remote_inputs;
+  into.finish_time = std::max(into.finish_time, s.finish_time);
+}
+
 JobStats aggregate(const std::vector<RankStats>& per_rank) {
   DWS_CHECK(!per_rank.empty());
   JobStats job;

@@ -59,6 +59,11 @@ struct RankStats {
   support::SimTime finish_time = 0;  ///< when this rank learnt of termination
 };
 
+/// Field-wise accumulation of `s` into `into`: finish_time is a max (the
+/// later termination), every other field a sum. The service layer folds a
+/// rank's per-job counters into the rank's row with it.
+void accumulate(RankStats& into, const RankStats& s);
+
 /// Job-wide aggregation of per-rank counters.
 struct JobStats {
   std::uint64_t nodes_processed = 0;

@@ -5,6 +5,27 @@
 namespace dws::metrics {
 namespace {
 
+TEST(Accumulate, SumsCountersAndKeepsTheLaterFinish) {
+  RankStats a;
+  a.nodes_processed = 3;
+  a.amount_switches = 2;
+  a.steal_distance_sum = 1.5;
+  a.total_search_time = 10;
+  a.finish_time = 40;
+  RankStats b;
+  b.nodes_processed = 4;
+  b.amount_switches = 5;
+  b.steal_distance_sum = 0.5;
+  b.total_search_time = 7;
+  b.finish_time = 30;
+  accumulate(a, b);
+  EXPECT_EQ(a.nodes_processed, 7u);
+  EXPECT_EQ(a.amount_switches, 7u);
+  EXPECT_DOUBLE_EQ(a.steal_distance_sum, 2.0);
+  EXPECT_EQ(a.total_search_time, 17);
+  EXPECT_EQ(a.finish_time, 40);
+}
+
 TEST(Aggregate, SumsCounters) {
   std::vector<RankStats> ranks(3);
   ranks[0].nodes_processed = 100;

@@ -112,6 +112,28 @@ TEST(Service, TimeShareShrinksLeasesAndRelinquishesWork) {
   }
 }
 
+TEST(Service, AmountSwitchesReachTheRunStats) {
+  // Adaptive steal amount in every job of a space-shared stream: each rank's
+  // row folds its jobs' switch counters like every other RankStats field,
+  // so the run-level total is their sum and not 0.
+  ws::RunConfig cfg = service_base(64);
+  cfg.tree = uts::tree_by_name("TEST_BIN_SMALL");
+  cfg.svc.arrival = ArrivalKind::kPoisson;
+  cfg.svc.num_jobs = 8;
+  cfg.svc.mean_interarrival = 300'000;
+  cfg.svc.alloc = AllocPolicy::kSpaceShare;
+  cfg.svc.ranks_per_job = 16;
+  cfg.ws.victim_policy = ws::VictimPolicy::kAdaptive;
+  cfg.ws.steal_amount = ws::StealAmount::kHalf;
+  cfg.ws.adaptive_steal_amount = true;
+
+  const ws::RunResult r = checked_service_run(cfg);
+  std::uint64_t per_rank = 0;
+  for (const auto& rs : r.per_rank) per_rank += rs.amount_switches;
+  EXPECT_GT(r.stats.amount_switches, 0u);
+  EXPECT_EQ(r.stats.amount_switches, per_rank);
+}
+
 TEST(Service, ValidateScreensIllFormedServiceConfigs) {
   ws::RunConfig good = service_base(8);
   good.svc.arrival = ArrivalKind::kPoisson;
