@@ -10,7 +10,7 @@
 #include "exp/figures.hpp"
 #include "support/histogram.hpp"
 #include "topo/latency.hpp"
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 int main(int argc, char** argv) {
   using namespace dws;
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 1024, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  ws::TofuSkewedSelector selector(0, latency, 1, 2048);
+  proto::TofuSkewedSelector selector(0, latency, 1, 2048);
 
   // The full 1024-point series, bucketed for terminal rendering: print every
   // 32nd rank exactly, plus summary statistics of the whole PDF.

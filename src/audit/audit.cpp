@@ -11,7 +11,7 @@
 #include "svc/service.hpp"
 #include "topo/latency.hpp"
 #include "uts/sequential.hpp"
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 namespace dws::audit {
 
@@ -272,7 +272,7 @@ void Auditor::on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
 }
 
 void Auditor::on_token_sent(topo::Rank from, topo::Rank to,
-                            const ws::Token& t) {
+                            const proto::Token& t) {
   ++report_.tokens;
   bytes_sent_ += config_.ws.token_bytes;
   if (!audit_.check_clock) return;
@@ -288,7 +288,7 @@ void Auditor::on_token_sent(topo::Rank from, topo::Rank to,
   if (to == 0) last_token_to_zero_ = t;
 }
 
-void Auditor::on_token_accepted(topo::Rank rank, const ws::Token& t) {
+void Auditor::on_token_accepted(topo::Rank rank, const proto::Token& t) {
   if (rank != 0) {
     violation(Family::kClock,
               "rank " + rank_str(rank) + " accepted a termination token "
@@ -361,7 +361,7 @@ void Auditor::on_termination(support::SimTime t) {
     // accumulated work-message counters balance. The accepted token is
     // authoritative; under regeneration the last token observed en route to
     // rank 0 may be a stale probe rank 0 (correctly) ignored.
-    const std::optional<ws::Token>& final_token =
+    const std::optional<proto::Token>& final_token =
         accepted_token_.has_value() ? accepted_token_ : last_token_to_zero_;
     if (!final_token.has_value()) {
       violation(Family::kClock,
@@ -543,7 +543,7 @@ void Auditor::check_distributions() {
     if (self >= config_.num_ranks) continue;
     const std::vector<double> expected =
         expected_distribution(config_.ws, self, config_.num_ranks, latency);
-    auto selector = ws::make_selector(config_.ws, self, latency);
+    auto selector = proto::make_selector(config_.ws, self, latency);
     const DistributionCheck check = check_selector_distribution(
         *selector, expected, self, audit_.distribution_samples,
         audit_.distribution_min_p);

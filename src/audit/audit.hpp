@@ -6,14 +6,14 @@
 #include <unordered_set>
 #include <vector>
 
-#include "ws/observer.hpp"
+#include "proto/observer.hpp"
 #include "ws/scheduler.hpp"
 
 /// dws::audit — runtime invariant checking for the work-stealing simulator
 /// (DESIGN.md §8).
 ///
 /// An Auditor attaches to ws::run_simulation through the passive
-/// ws::RunObserver seam and replays an independent conservation ledger
+/// proto::RunObserver seam and replays an independent conservation ledger
 /// against the run:
 ///
 ///  * work conservation — every tree node is expanded exactly once (64-bit
@@ -121,11 +121,11 @@ struct AuditReport {
 ///
 /// The auditor never mutates scheduler state and never aborts; everything it
 /// finds lands in the report.
-class Auditor final : public ws::RunObserver {
+class Auditor final : public proto::RunObserver {
  public:
   explicit Auditor(const ws::RunConfig& config, AuditConfig audit = {});
 
-  // ws::RunObserver hooks (incremental checks).
+  // proto::RunObserver hooks (incremental checks).
   void on_root(topo::Rank rank, const uts::TreeNode& root) override;
   void on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
                         std::uint32_t children) override;
@@ -149,8 +149,8 @@ class Auditor final : public ws::RunObserver {
   void on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
                              std::uint64_t nodes) override;
   void on_token_sent(topo::Rank from, topo::Rank to,
-                     const ws::Token& t) override;
-  void on_token_accepted(topo::Rank rank, const ws::Token& t) override;
+                     const proto::Token& t) override;
+  void on_token_accepted(topo::Rank rank, const proto::Token& t) override;
   void on_token_regenerated(topo::Rank rank, std::uint32_t generation) override;
   void on_phase(topo::Rank rank, support::SimTime t,
                 metrics::Phase p) override;
@@ -202,8 +202,8 @@ class Auditor final : public ws::RunObserver {
   bool relaxed_ = false;
 
   // Clock / trace ledger.
-  std::optional<ws::Token> last_token_to_zero_;
-  std::optional<ws::Token> accepted_token_;  // last token rank 0 accepted
+  std::optional<proto::Token> last_token_to_zero_;
+  std::optional<proto::Token> accepted_token_;  // last token rank 0 accepted
   std::vector<support::SimTime> last_phase_time_;
   std::vector<std::uint8_t> finished_;
   bool terminated_ = false;

@@ -6,7 +6,7 @@
 
 #include "topo/latency.hpp"
 #include "ws/config.hpp"
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 namespace dws::audit {
 
@@ -38,7 +38,7 @@ std::vector<double> expected_distribution(const ws::WsConfig& config,
 /// expected count < 5 are pooled, the classic validity rule. ok iff the
 /// p-value is at least `min_p` and no victim outside the distribution's
 /// support (expected 0, e.g. self) was drawn.
-DistributionCheck check_selector_distribution(ws::VictimSelector& selector,
+DistributionCheck check_selector_distribution(proto::VictimSelector& selector,
                                               const std::vector<double>& expected,
                                               topo::Rank self,
                                               std::uint64_t samples,

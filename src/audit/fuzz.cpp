@@ -22,9 +22,9 @@ namespace {
 /// per run according to the mutation mode. The simulation itself stays
 /// honest — only the auditor's view is corrupted, which is precisely what a
 /// conservation bug would look like from the ledger's side.
-class MutatingObserver final : public ws::RunObserver {
+class MutatingObserver final : public proto::RunObserver {
  public:
-  MutatingObserver(ws::RunObserver& inner, Mutation mode)
+  MutatingObserver(proto::RunObserver& inner, Mutation mode)
       : inner_(inner), mode_(mode) {}
 
   void on_root(topo::Rank rank, const uts::TreeNode& root) override {
@@ -88,10 +88,10 @@ class MutatingObserver final : public ws::RunObserver {
                              rtt_ewma);
   }
   void on_token_sent(topo::Rank from, topo::Rank to,
-                     const ws::Token& t) override {
+                     const proto::Token& t) override {
     inner_.on_token_sent(from, to, t);
   }
-  void on_token_accepted(topo::Rank rank, const ws::Token& t) override {
+  void on_token_accepted(topo::Rank rank, const proto::Token& t) override {
     inner_.on_token_accepted(rank, t);
   }
   void on_token_regenerated(topo::Rank rank,
@@ -110,7 +110,7 @@ class MutatingObserver final : public ws::RunObserver {
   }
 
  private:
-  ws::RunObserver& inner_;
+  proto::RunObserver& inner_;
   Mutation mode_;
   bool fired_ = false;
 };

@@ -6,7 +6,7 @@
 
 #include "sim/engine.hpp"
 #include "support/check.hpp"
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 namespace dws::dag {
 
@@ -53,7 +53,7 @@ class DagWorker final : public sim::EventSink {
       ws::WsConfig shim;
       shim.victim_policy = sim_.config->victim_policy;
       shim.seed = sim_.config->seed;
-      selector_ = ws::make_selector(shim, rank_, *sim_.latency);
+      selector_ = proto::make_selector(shim, rank_, *sim_.latency);
     }
   }
 
@@ -250,7 +250,7 @@ class DagWorker final : public sim::EventSink {
   topo::Rank rank_;
   DagSim& sim_;
   std::deque<TaskId> ready_;
-  std::unique_ptr<ws::VictimSelector> selector_;
+  std::unique_ptr<proto::VictimSelector> selector_;
   std::vector<Message> inbox_;
   bool executing_ = false;
   bool waiting_response_ = false;

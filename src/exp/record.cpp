@@ -11,7 +11,7 @@
 #include "metrics/service_stats.hpp"
 #include "support/check.hpp"
 #include "support/sim_time.hpp"
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 namespace dws::exp {
 namespace {
@@ -141,13 +141,13 @@ std::string canonical_config(const ws::RunConfig& c) {
     // matches — not the raw alias_table_max_ranks threshold, which can
     // differ without changing anything the simulation does.
     kv("ws.tofu_sampler",
-       ws::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
+       proto::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
   }
   if (c.ws.victim_policy == ws::VictimPolicy::kAdaptive) {
     // Same backend-not-threshold rule as ws.tofu_sampler; the feedback knobs
     // only shape behaviour when the adaptive selector is the one running.
     kv("ws.adaptive_sampler",
-       ws::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
+       proto::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
     kvd("ws.adapt_epsilon", c.ws.adapt_epsilon);
     kvu("ws.adapt_refresh_interval", c.ws.adapt_refresh_interval);
   }

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "ws/observer.hpp"
+#include "proto/observer.hpp"
 #include "ws/scheduler.hpp"
 
 /// dws::rt — the native shared-memory work-stealing runtime (DESIGN.md §11).
@@ -29,6 +29,6 @@ namespace dws::rt {
 /// scheduling decides steal interleavings (victim *sequences* still come
 /// from the same seeded selectors).
 ws::RunResult run_native(const ws::RunConfig& config,
-                         ws::RunObserver* observer = nullptr);
+                         proto::RunObserver* observer = nullptr);
 
 }  // namespace dws::rt

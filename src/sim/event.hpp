@@ -20,7 +20,7 @@ enum class EventKind : std::uint32_t {
   kWorkerStart,       ///< ws::Worker t = 0 bootstrap; rank = worker rank
   kWorkerStep,        ///< ws::Worker poll/expand boundary; rank = worker rank
   kDeferredResponse,  ///< ws::Worker packaged steal response leaving the rank;
-                      ///< payload = RunContext deferred-send pool handle
+                      ///< payload = ExecContext deferred-send pool handle
   kDagStart,          ///< dag worker bootstrap; rank = worker rank
   kDagTaskComplete,   ///< dag task completion; payload = TaskId
   kStealTimeout,      ///< ws::Worker steal-request timer; payload = request id

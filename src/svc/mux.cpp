@@ -41,226 +41,37 @@ ServicePlan::ServicePlan(const ws::RunConfig& config)
   }
 }
 
-// ---- JobBinding ------------------------------------------------------------
+// ---- SvcPort ---------------------------------------------------------------
 
-JobBinding::JobBinding(MuxWorker& mux, const JobSpec& spec,
-                       const JobAdmit& admit, support::SimTime now)
-    : mux_(mux),
-      spec_(spec),
-      base_(admit.base),
-      width_(admit.width),
-      local_(mux.rank() - admit.base),
-      handoff_(admit.handoff),
-      peer_(mux.ctx().config->ws,
-            proto::Peer::Params{mux.rank() - admit.base, admit.width,
-                                mux.ctx().faults != nullptr},
-            &mux.ctx().plan->job_latency(admit.base), *this, nullptr) {
-  DWS_CHECK(spec_.id == admit.job);
-  DWS_CHECK(mux.rank() >= base_ && local_ < width_);
-  per_node_cost_ = mux.ctx().config->ws.node_cost();
-  if (mux.ctx().faults != nullptr) {
-    per_node_cost_ =
-        mux.ctx().faults->scaled_node_cost(mux.rank(), per_node_cost_);
-  }
-  // Park before start(): a parked local rank 0 still seeds the root but
-  // immediately relinquishes it to the handoff rank (see activated()).
-  if (!admit.leased) peer_.set_parked(true, now);
+void SvcPort::send(topo::Rank from, topo::Rank to, proto::Message msg,
+                   std::uint32_t bytes, fault::MsgClass cls) {
+  mux->ctx().network->send(from, base + to, Envelope{job, std::move(msg)},
+                           bytes, cls);
 }
 
-void JobBinding::start(support::SimTime now) {
-  if (local_ == 0) {
-    peer_.seed_root(uts::root_node(spec_.tree));
-  } else {
-    peer_.on_out_of_work(now);
-  }
-}
-
-// ---- proto::Transport ------------------------------------------------------
-
-void JobBinding::send(topo::Rank to, proto::Message msg, std::uint32_t bytes,
-                      fault::MsgClass cls) {
-  mux_.ctx().network->send(mux_.rank(), base_ + to,
-                           Envelope{spec_.id, std::move(msg)}, bytes, cls);
-}
-
-void JobBinding::send_deferred(support::SimTime delay, topo::Rank to,
-                               proto::StealResponse resp, std::uint32_t bytes,
-                               fault::MsgClass cls) {
-  ServiceContext& ctx = mux_.ctx();
-  const std::uint32_t handle = ctx.deferred.acquire(
-      PendingEnvelope{spec_.id, base_ + to, std::move(resp), bytes, cls});
-  ctx.engine->schedule_after(delay, mux_, sim::EventKind::kDeferredResponse,
-                             mux_.rank(), handle);
-}
-
-void JobBinding::arm_steal_timer(support::SimTime delay,
-                                 std::uint32_t request_id) {
-  ServiceContext& ctx = mux_.ctx();
-  const std::uint32_t handle =
-      ctx.timers.acquire(PendingTimer{spec_.id, request_id});
-  ctx.engine->schedule_after(delay, mux_, sim::EventKind::kStealTimeout,
-                             mux_.rank(), handle);
-}
-
-void JobBinding::arm_token_timer(support::SimTime delay,
-                                 std::uint32_t generation) {
-  ServiceContext& ctx = mux_.ctx();
-  const std::uint32_t handle =
-      ctx.timers.acquire(PendingTimer{spec_.id, generation});
-  ctx.engine->schedule_after(delay, mux_, sim::EventKind::kTokenTimeout,
-                             mux_.rank(), handle);
-}
-
-void JobBinding::activated() {
-  if (peer_.parked()) {
-    // Work landed on a parked rank (its lease was revoked before the work
-    // arrived): ship everything to the job's current handoff. activated()
-    // is a tail call inside the peer, so re-entering it here is safe. The
-    // handoff chain terminates because every hop's target was leased when
-    // the hop parked — parking epochs strictly increase along the chain.
-    peer_.relinquish(handoff_, mux_.ctx().engine->now());
-    return;
-  }
-  schedule_step();
-}
-
-void JobBinding::terminated(support::SimTime at) {
-  ServiceContext& ctx = mux_.ctx();
-  JobRuntime& rt = ctx.runtimes[spec_.id];
+void SvcPort::terminated(topo::Rank rank, support::SimTime at) {
+  ServiceContext& ctx = mux->ctx();
+  JobRuntime& rt = ctx.runtimes[job];
   DWS_CHECK(rt.finish < 0);
   rt.finish = at;
   // Report per-job quiescence to the controller. Its own rank takes the
   // direct path (the network refuses self-sends); remote home ranks send a
   // reliable JobDone envelope that rank 0's mux routes to the controller.
-  if (base_ == 0) {
+  if (base == 0) {
     DWS_CHECK(ctx.controller != nullptr);
-    ctx.controller->on_job_done(spec_.id, ctx.engine->now());
+    ctx.controller->on_job_done(job, ctx.engine->now());
   } else {
-    ctx.network->send(mux_.rank(), 0, Envelope{spec_.id, JobDone{spec_.id}},
-                      ctx.config->ws.token_bytes, fault::MsgClass::kReliable);
+    ctx.network->send(rank, 0, Envelope{job, JobDone{job}},
+                      ctx.config->token_bytes, fault::MsgClass::kReliable);
   }
 }
 
-// ---- Execution loop --------------------------------------------------------
-
-void JobBinding::schedule_step() {
-  if (step_scheduled_ || !peer_.active()) return;
-  step_scheduled_ = true;
-  mux_.ctx().engine->schedule_after(0, mux_, sim::EventKind::kWorkerStep,
-                                    mux_.rank(), spec_.id);
-}
-
-void JobBinding::step() {
-  step_scheduled_ = false;
-  if (!peer_.active()) return;
-  ServiceContext& ctx = mux_.ctx();
-
-  const support::SimTime busy = drain_inbox();
-  if (!peer_.active()) return;  // a drained Terminate ended the job
-
-  proto::ChunkStack& stack = peer_.stack();
-  if (stack.empty()) {
-    peer_.on_out_of_work(ctx.engine->now());
-    return;
-  }
-  if (peer_.parked()) {
-    // The lease was revoked while this rank was mid-expansion with an empty
-    // stack (nothing to relinquish then) and banked work arrived since: a
-    // parked rank never expands nodes, so hand it off now.
-    peer_.relinquish(handoff_, ctx.engine->now());
-    return;
-  }
-
-  metrics::RankStats& stats = peer_.stats();
-  support::SimTime cost = 0;
-  for (std::uint32_t i = 0; i < ctx.config->ws.poll_interval; ++i) {
-    const auto node = stack.pop();
-    if (!node.has_value()) break;
-    if (first_compute_ < 0) first_compute_ = ctx.engine->now();
-    ++stats.nodes_processed;
-    const std::uint32_t n = uts::num_children(spec_.tree, *node);
-    if (n == 0) {
-      ++stats.leaves_seen;
-    } else {
-      for (std::uint32_t c = 0; c < n; ++c) {
-        stack.push(uts::child_node(*node, c));
-      }
-    }
-    cost += per_node_cost_;
-  }
-
-  // Transient pause (fault injection): per physical rank, once per run —
-  // whichever job's step boundary crosses the scheduled start first stalls.
-  if (ctx.faults != nullptr && mux_.take_pause(ctx.engine->now())) {
-    cost += ctx.faults->config().pause_duration;
-  }
-
-  step_scheduled_ = true;
-  ctx.engine->schedule_after(busy + cost, mux_, sim::EventKind::kWorkerStep,
-                             mux_.rank(), spec_.id);
-}
-
-support::SimTime JobBinding::drain_inbox() {
-  support::SimTime busy = 0;
-  ServiceContext& ctx = mux_.ctx();
-  for (std::size_t i = 0; i < inbox_.size(); ++i) {
-    if (peer_.done()) break;
-    proto::Message msg = std::move(inbox_[i]);
-    if (const auto* req = std::get_if<proto::StealRequest>(&msg)) {
-      busy += ctx.config->ws.steal_handling_cost;
-      peer_.on_steal_request(*req, ctx.engine->now(), busy);
-    } else {
-      peer_.on_message(std::move(msg), ctx.engine->now());
-    }
-  }
-  inbox_.clear();
-  return busy;
-}
-
-void JobBinding::on_proto(proto::Message msg, support::SimTime now) {
-  if (peer_.done()) return;
-  if (peer_.active()) {
-    // Mid-expansion: wait for the next poll boundary, like MPI messages
-    // wait for the next MPI_Iprobe (one-sided steals are rejected by
-    // validate() under svc, so there is no bypass).
-    inbox_.push_back(std::move(msg));
-    return;
-  }
-  peer_.on_message(std::move(msg), now);
-}
-
-void JobBinding::on_lease(bool leased, topo::Rank handoff,
-                          support::SimTime now) {
-  handoff_ = handoff;
-  if (peer_.done()) return;  // a grant can race a Terminate on another channel
-  peer_.set_parked(!leased, now);
-  if (!leased && !peer_.stack().empty()) {
-    peer_.relinquish(handoff_, now);
-  }
-}
-
-void JobBinding::on_steal_timeout(std::uint32_t request_id,
-                                  support::SimTime now) {
-  peer_.on_steal_timeout(request_id, now);
-}
-
-void JobBinding::on_token_timeout(std::uint32_t generation,
-                                  support::SimTime now) {
-  peer_.on_token_timeout(generation, now);
-}
+ws::RankPause& SvcPort::pause() noexcept { return mux->pause(); }
 
 // ---- MuxWorker -------------------------------------------------------------
 
 MuxWorker::MuxWorker(topo::Rank rank, ServiceContext& ctx)
     : rank_(rank), ctx_(ctx) {}
-
-bool MuxWorker::take_pause(support::SimTime now) {
-  if (pause_taken_ || ctx_.faults == nullptr) return false;
-  const auto at = ctx_.faults->pause_start(rank_);
-  if (!at.has_value() || now < *at) return false;
-  pause_taken_ = true;
-  return true;
-}
 
 std::size_t MuxWorker::pending_messages() const noexcept {
   std::size_t n = 0;
@@ -268,103 +79,73 @@ std::size_t MuxWorker::pending_messages() const noexcept {
   return n;
 }
 
-void MuxWorker::on_event(const sim::Event& ev) {
-  const support::SimTime now = ctx_.engine->now();
-  switch (ev.kind) {
-    case sim::EventKind::kWorkerStep: {
-      const auto it = bindings_.find(ev.payload);
-      DWS_CHECK(it != bindings_.end());
-      it->second->step();
-      break;
-    }
-    case sim::EventKind::kDeferredResponse: {
-      // Packaging delay served: the response enters the network now.
-      PendingEnvelope p = ctx_.deferred.take(ev.payload);
-      ctx_.network->send(rank_, p.dst,
-                         Envelope{p.job, proto::Message(std::move(p.resp))},
-                         p.bytes, p.cls);
-      break;
-    }
-    case sim::EventKind::kStealTimeout: {
-      const PendingTimer t = ctx_.timers.take(ev.payload);
-      const auto it = bindings_.find(t.job);
-      DWS_CHECK(it != bindings_.end());
-      if (!it->second->done()) it->second->on_steal_timeout(t.value, now);
-      break;
-    }
-    case sim::EventKind::kTokenTimeout: {
-      const PendingTimer t = ctx_.timers.take(ev.payload);
-      const auto it = bindings_.find(t.job);
-      DWS_CHECK(it != bindings_.end());
-      if (!it->second->done()) it->second->on_token_timeout(t.value, now);
-      break;
-    }
-    default:
-      DWS_CHECK(false);
-  }
-}
-
 void MuxWorker::on_envelope(Envelope env) {
-  const support::SimTime now = ctx_.engine->now();
   if (auto* msg = std::get_if<proto::Message>(&env.body)) {
     route_proto(env.job, std::move(*msg));
   } else if (const auto* a = std::get_if<JobAdmit>(&env.body)) {
-    admit(*a, now);
+    admit(*a);
   } else if (const auto* u = std::get_if<LeaseUpdate>(&env.body)) {
-    lease(*u, now);
+    lease(*u);
   } else {
     const auto& done = std::get<JobDone>(env.body);
     DWS_CHECK(rank_ == 0 && ctx_.controller != nullptr);
-    ctx_.controller->on_job_done(done.job, now);
+    ctx_.controller->on_job_done(done.job, ctx_.engine->now());
   }
 }
 
 void MuxWorker::route_proto(JobId job, proto::Message msg) {
-  const auto it = bindings_.find(job);
-  if (it == bindings_.end()) {
-    // Bindings are never destroyed, so no binding means the admit has not
+  const auto it = workers_.find(job);
+  if (it == workers_.end()) {
+    // Workers are never destroyed, so no worker means the admit has not
     // arrived yet (fault jitter can let a peer's first request overtake the
     // controller's admit — different channels). Park it until admission.
     pending_[job].push_back(std::move(msg));
     return;
   }
-  it->second->on_proto(std::move(msg), ctx_.engine->now());
+  it->second->on_message(std::move(msg));
 }
 
-void MuxWorker::admit(const JobAdmit& a, support::SimTime now) {
-  DWS_CHECK(bindings_.find(a.job) == bindings_.end());
-  auto binding =
-      std::make_unique<JobBinding>(*this, ctx_.plan->jobs[a.job], a, now);
-  JobBinding* b = binding.get();
-  bindings_.emplace(a.job, std::move(binding));
-  b->start(now);
+void MuxWorker::admit(const JobAdmit& a) {
+  DWS_CHECK(workers_.find(a.job) == workers_.end());
+  DWS_CHECK(rank_ >= a.base && rank_ - a.base < a.width);
+  const JobSpec& spec = ctx_.plan->jobs[a.job];
+  DWS_CHECK(spec.id == a.job);
+  auto owned = std::make_unique<JobWorker>(
+      ctx_, SvcPort{this, a.job, a.base}, rank_, rank_ - a.base, a.width,
+      spec.tree, &ctx_.plan->job_latency(a.base), /*observer=*/nullptr);
+  JobWorker& w = *owned;
+  workers_.emplace(a.job, std::move(owned));
+  // Park before start(): a parked local rank 0 still seeds the root but
+  // immediately relinquishes it to the handoff rank.
+  if (!a.leased) w.set_lease(false, a.handoff);
+  w.start();
   const auto pit = pending_.find(a.job);
   if (pit != pending_.end()) {
     std::vector<proto::Message> msgs = std::move(pit->second);
     pending_.erase(pit);
     for (proto::Message& m : msgs) {
-      if (b->done()) break;
-      b->on_proto(std::move(m), now);
+      if (w.done()) break;
+      w.on_message(std::move(m));
     }
   }
 }
 
-void MuxWorker::lease(const LeaseUpdate& u, support::SimTime now) {
+void MuxWorker::lease(const LeaseUpdate& u) {
   // The admit precedes every lease on the controller's channel (reliable,
-  // non-overtaking), so the binding must exist.
-  const auto it = bindings_.find(u.job);
-  DWS_CHECK(it != bindings_.end());
-  it->second->on_lease(u.leased, u.handoff, now);
+  // non-overtaking), so the worker must exist.
+  const auto it = workers_.find(u.job);
+  DWS_CHECK(it != workers_.end());
+  it->second->set_lease(u.leased, u.handoff);
 }
 
 // ---- Controller ------------------------------------------------------------
 
 Controller::Controller(ServiceContext& ctx) : ctx_(ctx) {
   job_done_.assign(ctx_.plan->jobs.size(), 0);
-  if (ctx_.config->svc.alloc == AllocPolicy::kSpaceShare) {
+  if (ctx_.run->svc.alloc == AllocPolicy::kSpaceShare) {
     block_free_.assign(ctx_.plan->num_blocks, 1);
   } else {
-    lease_of_rank_.assign(ctx_.config->num_ranks, kNoJob);
+    lease_of_rank_.assign(ctx_.run->num_ranks, kNoJob);
   }
 }
 
@@ -381,7 +162,7 @@ void Controller::on_event(const sim::Event& ev) {
 }
 
 void Controller::try_admit(JobId id, support::SimTime now) {
-  if (ctx_.config->svc.alloc == AllocPolicy::kSpaceShare) {
+  if (ctx_.run->svc.alloc == AllocPolicy::kSpaceShare) {
     for (std::uint32_t b = 0; b < block_free_.size(); ++b) {
       if (block_free_[b]) {
         admit_space(id, b, now);
@@ -389,7 +170,7 @@ void Controller::try_admit(JobId id, support::SimTime now) {
       }
     }
   } else if (active_.size() <
-             static_cast<std::size_t>(ctx_.config->num_ranks)) {
+             static_cast<std::size_t>(ctx_.run->num_ranks)) {
     admit_time(id, now);
     return;
   }
@@ -406,7 +187,7 @@ void Controller::admit_space(JobId id, std::uint32_t block,
   rt.base = base;
   rt.width = width;
   const JobAdmit a{id, base, width, /*leased=*/true, /*handoff=*/0};
-  for (topo::Rank r = base; r < base + width; ++r) send_admit(a, r, now);
+  for (topo::Rank r = base; r < base + width; ++r) send_admit(a, r);
 }
 
 void Controller::admit_time(JobId id, support::SimTime now) {
@@ -414,15 +195,15 @@ void Controller::admit_time(JobId id, support::SimTime now) {
   JobRuntime& rt = ctx_.runtimes[id];
   rt.admit = now;
   rt.base = 0;
-  rt.width = ctx_.config->num_ranks;
-  rebalance(id, now);
+  rt.width = ctx_.run->num_ranks;
+  rebalance(id);
 }
 
 void Controller::on_job_done(JobId id, support::SimTime now) {
   DWS_CHECK(!job_done_[id]);
   job_done_[id] = 1;
   ++done_count_;
-  if (ctx_.config->svc.alloc == AllocPolicy::kSpaceShare) {
+  if (ctx_.run->svc.alloc == AllocPolicy::kSpaceShare) {
     block_free_[ctx_.runtimes[id].base / ctx_.plan->block_width] = 1;
     while (!queue_.empty()) {
       std::uint32_t free_block = ~std::uint32_t{0};
@@ -439,9 +220,9 @@ void Controller::on_job_done(JobId id, support::SimTime now) {
     }
   } else {
     active_.erase(std::lower_bound(active_.begin(), active_.end(), id));
-    rebalance(kNoJob, now);
+    rebalance(kNoJob);
     while (!queue_.empty() &&
-           active_.size() < static_cast<std::size_t>(ctx_.config->num_ranks)) {
+           active_.size() < static_cast<std::size_t>(ctx_.run->num_ranks)) {
       const JobId next = queue_.front();
       queue_.pop_front();
       admit_time(next, now);
@@ -452,7 +233,7 @@ void Controller::on_job_done(JobId id, support::SimTime now) {
 JobId Controller::owner_of(topo::Rank r) const {
   const std::size_t k = active_.size();
   if (k == 0) return kNoJob;
-  const topo::Rank n = ctx_.config->num_ranks;
+  const topo::Rank n = ctx_.run->num_ranks;
   for (std::size_t i = 0; i < k; ++i) {
     const auto lo = static_cast<topo::Rank>(i * n / k);
     const auto hi = static_cast<topo::Rank>((i + 1) * n / k);
@@ -466,16 +247,16 @@ topo::Rank Controller::handoff_of(JobId id) const {
   const auto it = std::lower_bound(active_.begin(), active_.end(), id);
   DWS_CHECK(it != active_.end() && *it == id);
   const auto i = static_cast<std::size_t>(it - active_.begin());
-  return static_cast<topo::Rank>(i * ctx_.config->num_ranks /
+  return static_cast<topo::Rank>(i * ctx_.run->num_ranks /
                                  active_.size());
 }
 
-void Controller::rebalance(JobId admitting, support::SimTime now) {
-  const topo::Rank n = ctx_.config->num_ranks;
+void Controller::rebalance(JobId admitting) {
+  const topo::Rank n = ctx_.run->num_ranks;
   const topo::Rank handoff_admit =
       admitting != kNoJob ? handoff_of(admitting) : 0;
   // Per rank: revoke the old lease before anything else on the channel, so
-  // the binding parks (and relinquishes) before the new owner's grant or
+  // the worker parks (and relinquishes) before the new owner's grant or
   // admit arrives. Ascending rank order keeps the send sequence — and with
   // it every fault draw and congestion fold — deterministic.
   for (topo::Rank r = 0; r < n; ++r) {
@@ -483,39 +264,37 @@ void Controller::rebalance(JobId admitting, support::SimTime now) {
     const JobId newj = owner_of(r);
     if (oldj != newj) {
       if (oldj != kNoJob && !job_done_[oldj]) {
-        send_lease(LeaseUpdate{oldj, false, handoff_of(oldj)}, r, now);
+        send_lease(LeaseUpdate{oldj, false, handoff_of(oldj)}, r);
       }
       lease_of_rank_[r] = newj;
     }
     if (admitting != kNoJob) {
       send_admit(JobAdmit{admitting, 0, n, newj == admitting, handoff_admit},
-                 r, now);
+                 r);
     }
     if (oldj != newj && newj != kNoJob && newj != admitting) {
-      send_lease(LeaseUpdate{newj, true, handoff_of(newj)}, r, now);
+      send_lease(LeaseUpdate{newj, true, handoff_of(newj)}, r);
     }
   }
 }
 
-void Controller::send_admit(const JobAdmit& a, topo::Rank dst,
-                            support::SimTime now) {
+void Controller::send_admit(const JobAdmit& a, topo::Rank dst) {
   if (dst == 0) {
-    (*ctx_.muxes)[0]->admit(a, now);
+    (*ctx_.muxes)[0]->admit(a);
     return;
   }
   ctx_.network->send(0, dst, Envelope{a.job, a},
-                     ctx_.config->ws.steal_request_bytes,
+                     ctx_.config->steal_request_bytes,
                      fault::MsgClass::kReliable);
 }
 
-void Controller::send_lease(const LeaseUpdate& u, topo::Rank dst,
-                            support::SimTime now) {
+void Controller::send_lease(const LeaseUpdate& u, topo::Rank dst) {
   if (dst == 0) {
-    (*ctx_.muxes)[0]->lease(u, now);
+    (*ctx_.muxes)[0]->lease(u);
     return;
   }
   ctx_.network->send(0, dst, Envelope{u.job, u},
-                     ctx_.config->ws.steal_request_bytes,
+                     ctx_.config->steal_request_bytes,
                      fault::MsgClass::kReliable);
 }
 

@@ -8,28 +8,26 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "metrics/rank_stats.hpp"
-#include "proto/peer.hpp"
-#include "proto/transport.hpp"
+#include "proto/message.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "sim/network.hpp"
-#include "sim/pool.hpp"
 #include "svc/arrival.hpp"
 #include "svc/params.hpp"
 #include "topo/allocation.hpp"
 #include "topo/latency.hpp"
 #include "ws/scheduler.hpp"
+#include "ws/worker.hpp"
 
-/// Internal machinery of the service runtime (DESIGN.md §13). The shapes
-/// deliberately mirror ws/worker.hpp — MuxWorker is to a multi-tenant rank
-/// what ws::Worker is to a single-job rank — so the two executors stay
-/// reviewable side by side. Only service.hpp is the public surface.
+/// Internal machinery of the service runtime (DESIGN.md §13): each resident
+/// job on a rank runs as one ws::Worker bound through SvcPort, and MuxWorker
+/// demultiplexes the rank's envelopes onto them. Only service.hpp is the
+/// public surface.
 namespace dws::svc {
 
 // ---- Control vocabulary ----------------------------------------------------
 
-/// Controller -> rank: a job was admitted; create its binding. The tree is
+/// Controller -> rank: a job was admitted; create its worker. The tree is
 /// looked up from the shared ServicePlan by job id — control messages carry
 /// placement, never payload. Under time sharing every rank receives the
 /// admit (the job's peer ring spans the whole pool) with `leased` saying
@@ -45,10 +43,10 @@ struct JobAdmit {
 
 /// Controller -> rank: this rank's lease on `job` changed (time sharing
 /// only). A revoke (`leased == false`) carries the job's *current* handoff
-/// rank so the parked binding knows where to ship any work it holds now or
+/// rank so the parked worker knows where to ship any work it holds now or
 /// acquires later; handoff chains formed by stale targets terminate because
 /// every hop was parked strictly later than its sender (see
-/// JobBinding::activated).
+/// ws::Worker::activated).
 struct LeaseUpdate {
   JobId job = 0;
   bool leased = false;
@@ -125,137 +123,68 @@ struct JobRuntime {
   bool admitted() const noexcept { return admit >= 0; }
 };
 
-/// A packaged steal response waiting out its victim-side handling delay
-/// (EventKind::kDeferredResponse; the svc twin of ws::PendingSend, with the
-/// destination already translated to a global rank).
-struct PendingEnvelope {
-  JobId job = 0;
-  topo::Rank dst = 0;  ///< global thief rank
-  proto::StealResponse resp;
-  std::uint32_t bytes = 0;
-  fault::MsgClass cls = fault::MsgClass::kDroppable;
-};
-
-/// One armed protocol timer. Rank-level timer events carry a pool handle
-/// because the payload must identify both the job and the peer's own value
-/// (request id / token generation).
-struct PendingTimer {
-  JobId job = 0;
-  std::uint32_t value = 0;
-};
-
 class Controller;
 
 /// Per-shard execution context (serial runs are the one-shard case): the
-/// engine/network pair, the shared plan, and the slab pools backing event
-/// payloads. `controller` is non-null exactly on the shard owning global
-/// rank 0.
-struct ServiceContext {
-  sim::Engine* engine = nullptr;
+/// workers' shared state, the network, the shared plan and run outcomes.
+/// `controller` is non-null exactly on the shard owning global rank 0.
+struct ServiceContext : ws::ExecContext {
   SvcNetwork* network = nullptr;
-  const ws::RunConfig* config = nullptr;
+  const ws::RunConfig* run = nullptr;
   const ServicePlan* plan = nullptr;
-  fault::Injector* faults = nullptr;
   Controller* controller = nullptr;
   std::vector<std::unique_ptr<MuxWorker>>* muxes = nullptr;
   JobRuntime* runtimes = nullptr;  ///< shared id-indexed array
-
-  sim::SlabPool<PendingEnvelope> deferred;
-  sim::SlabPool<PendingTimer> timers;
 };
 
-// ---- Per-(rank, job) protocol binding --------------------------------------
+/// The service Worker binding: one job's view of a service rank. Job-local
+/// ranks are offset by the job's block base, and every message travels in an
+/// Envelope tagged with the job id.
+struct SvcPort {
+  MuxWorker* mux = nullptr;
+  JobId job = 0;
+  topo::Rank base = 0;  ///< global rank of the job's local rank 0
 
-/// One job's presence on one rank: a proto::Peer over job-local ranks plus
-/// the execution loop ws::Worker implements for the single-job case. The
-/// binding translates local<->global ranks at the transport seam and keeps
-/// per-job step scheduling state so concurrent jobs on a rank interleave
-/// freely (step events carry the job id in the event payload).
-class JobBinding final : private proto::Transport {
- public:
-  JobBinding(MuxWorker& mux, const JobSpec& spec, const JobAdmit& admit,
-             support::SimTime now);
-
-  /// t = admit: job-local rank 0 seeds the tree root (then immediately
-  /// relinquishes it if parked), everyone else starts a discovery session.
-  void start(support::SimTime now);
-  void step();
-  void on_proto(proto::Message msg, support::SimTime now);
-  void on_lease(bool leased, topo::Rank handoff, support::SimTime now);
-  void on_steal_timeout(std::uint32_t request_id, support::SimTime now);
-  void on_token_timeout(std::uint32_t generation, support::SimTime now);
-
-  bool done() const noexcept { return peer_.done(); }
-  std::size_t stack_size() const noexcept { return peer_.stack().size(); }
-  const metrics::RankStats& stats() const noexcept { return peer_.stats(); }
-  JobId job() const noexcept { return spec_.id; }
-  /// Virtual time of this binding's first node expansion; -1 if it never
-  /// expanded one (the job-level value is the min over its bindings).
-  support::SimTime first_compute() const noexcept { return first_compute_; }
-
- private:
-  // proto::Transport — local ranks in, global envelopes out.
-  void send(topo::Rank to, proto::Message msg, std::uint32_t bytes,
-            fault::MsgClass cls) override;
-  void send_deferred(support::SimTime delay, topo::Rank to,
-                     proto::StealResponse resp, std::uint32_t bytes,
-                     fault::MsgClass cls) override;
-  void arm_steal_timer(support::SimTime delay,
-                       std::uint32_t request_id) override;
-  void arm_token_timer(support::SimTime delay,
-                       std::uint32_t generation) override;
-  void activated() override;
-  void terminated(support::SimTime at) override;
-
-  void schedule_step();
-  support::SimTime drain_inbox();
-
-  MuxWorker& mux_;
-  const JobSpec& spec_;
-  topo::Rank base_ = 0;
-  topo::Rank width_ = 0;
-  topo::Rank local_ = 0;    ///< this rank's job-local id
-  topo::Rank handoff_ = 0;  ///< job-local relinquish target while parked
-  proto::Peer peer_;
-
-  bool step_scheduled_ = false;
-  std::vector<proto::Message> inbox_;
-  support::SimTime per_node_cost_ = 0;
-  support::SimTime first_compute_ = -1;
+  void send(topo::Rank from, topo::Rank to, proto::Message msg,
+            std::uint32_t bytes, fault::MsgClass cls);
+  /// Record the job's finish time and report JobDone to the controller.
+  void terminated(topo::Rank rank, support::SimTime at);
+  ws::RankPause& pause() noexcept;
 };
+
+using JobWorker = ws::Worker<SvcPort>;
 
 // ---- Per-rank multiplexer --------------------------------------------------
 
-/// One global rank of the service pool: owns the rank's job bindings and
-/// demultiplexes envelopes, typed events and fault perturbations onto them.
-/// Bindings persist for the whole run once created (envelopes to done
-/// bindings are dropped, exactly like ws::Worker drops post-termination
-/// stragglers); proto traffic arriving before the job's admit — possible
-/// under fault jitter, where a peer's first steal request can overtake the
-/// controller's admit on a different channel — parks in a per-job pending
-/// buffer drained at admission.
-class MuxWorker final : public sim::EventSink {
+/// One global rank of the service pool: owns one JobWorker per resident job
+/// and demultiplexes envelopes onto them. Workers persist for the whole run
+/// once created (envelopes to done workers are dropped, exactly like a
+/// single-job Worker drops post-termination stragglers); proto traffic
+/// arriving before the job's admit — possible under fault jitter, where a
+/// peer's first steal request can overtake the controller's admit on a
+/// different channel — parks in a per-job pending buffer drained at
+/// admission.
+class MuxWorker final {
  public:
   MuxWorker(topo::Rank rank, ServiceContext& ctx);
 
-  void on_event(const sim::Event& ev) override;
   /// Network delivery entry point.
   void on_envelope(Envelope env);
   /// Direct-call twins of the control envelopes, used by the controller for
   /// its own rank (the network forbids self-sends).
-  void admit(const JobAdmit& a, support::SimTime now);
-  void lease(const LeaseUpdate& u, support::SimTime now);
+  void admit(const JobAdmit& a);
+  void lease(const LeaseUpdate& u);
 
   topo::Rank rank() const noexcept { return rank_; }
   ServiceContext& ctx() noexcept { return ctx_; }
   /// The rank's one-shot transient pause (fault layer): per *rank*, not per
-  /// binding — the physical rank stalls once, whichever job's step boundary
+  /// job — the physical rank stalls once, whichever job's step boundary
   /// crosses the scheduled start first.
-  bool take_pause(support::SimTime now);
+  ws::RankPause& pause() noexcept { return pause_; }
 
-  const std::unordered_map<JobId, std::unique_ptr<JobBinding>>& bindings()
+  const std::unordered_map<JobId, std::unique_ptr<JobWorker>>& workers()
       const noexcept {
-    return bindings_;
+    return workers_;
   }
   std::size_t pending_messages() const noexcept;
 
@@ -264,10 +193,10 @@ class MuxWorker final : public sim::EventSink {
 
   topo::Rank rank_;
   ServiceContext& ctx_;
-  std::unordered_map<JobId, std::unique_ptr<JobBinding>> bindings_;
+  std::unordered_map<JobId, std::unique_ptr<JobWorker>> workers_;
   /// Proto messages that arrived before their job's admit.
   std::unordered_map<JobId, std::vector<proto::Message>> pending_;
-  bool pause_taken_ = false;
+  ws::RankPause pause_;
 };
 
 // ---- Admission / allocation controller -------------------------------------
@@ -287,7 +216,7 @@ class Controller final : public sim::EventSink {
   void schedule_arrivals();
 
   void on_event(const sim::Event& ev) override;
-  /// A job's home binding reported per-job termination.
+  /// A job's home worker reported per-job termination.
   void on_job_done(JobId id, support::SimTime now);
 
   bool all_done() const noexcept {
@@ -305,13 +234,13 @@ class Controller final : public sim::EventSink {
   /// `active_` and send revokes-then-grants to every rank whose owner
   /// changed. `admitting` suppresses grants for the job whose JobAdmit
   /// (which carries its own lease bit) is being fanned out in this step.
-  void rebalance(JobId admitting, support::SimTime now);
+  void rebalance(JobId admitting);
   /// Owner job of rank `r` under the current active_ slices; kNoJob if none.
   JobId owner_of(topo::Rank r) const;
   /// Job-local first rank of `id`'s current slice (its handoff target).
   topo::Rank handoff_of(JobId id) const;
-  void send_admit(const JobAdmit& a, topo::Rank dst, support::SimTime now);
-  void send_lease(const LeaseUpdate& u, topo::Rank dst, support::SimTime now);
+  void send_admit(const JobAdmit& a, topo::Rank dst);
+  void send_lease(const LeaseUpdate& u, topo::Rank dst);
 
   ServiceContext& ctx_;
   std::deque<JobId> queue_;  ///< admission FIFO when the pool is full

@@ -16,9 +16,9 @@ namespace dws::svc {
 /// sim_shards count (the differential suite pins byte-identity at shards
 /// {1, 2, 4, 8}). RunResult::jobs carries one JobOutcome per job in id
 /// order; runtime is the last job's finish time; traces are never recorded.
-/// Aborts (DWS_CHECK) on conservation violations: a binding left
+/// Aborts (DWS_CHECK) on conservation violations: a job worker left
 /// unterminated, stacks or pending buffers non-empty, or a job whose chunks
-/// sent != chunks received across its bindings.
+/// sent != chunks received across its workers.
 ws::RunResult run_service(const ws::RunConfig& config);
 
 /// run_service plus the per-job work-conservation oracle: every job's node

@@ -174,15 +174,14 @@ class RunObserver;
 }
 
 namespace dws::ws {
-using RunObserver = proto::RunObserver;
 
 /// Execute one full UTS work-stealing run on the simulator. Deterministic:
 /// equal RunConfigs produce bit-identical results — with or without an
-/// `observer` attached (observers are passive; see observer.hpp and the
+/// `observer` attached (observers are passive; see proto/observer.hpp and the
 /// dws::audit subsystem built on it). Aborts (DWS_CHECK) if the run violates
 /// conservation — termination with unfinished work, lost chunks, or a worker
 /// left in a non-terminated state.
 RunResult run_simulation(const RunConfig& config,
-                         RunObserver* observer = nullptr);
+                         proto::RunObserver* observer = nullptr);
 
 }  // namespace dws::ws

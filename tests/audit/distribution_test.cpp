@@ -7,7 +7,7 @@
 
 #include "support/stats.hpp"
 #include "topo/latency.hpp"
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 namespace dws::audit {
 namespace {
@@ -51,7 +51,7 @@ TEST_F(DistributionTest, EveryPolicyMatchesItsAnalyticDistribution) {
     EXPECT_DOUBLE_EQ(expected[self], 0.0);
     EXPECT_NEAR(std::accumulate(expected.begin(), expected.end(), 0.0), 1.0,
                 1e-9);
-    auto selector = ws::make_selector(cfg, self, latency_);
+    auto selector = proto::make_selector(cfg, self, latency_);
     const DistributionCheck check =
         check_selector_distribution(*selector, expected, self, 20000);
     EXPECT_TRUE(check.ok) << ws::to_string(policy) << ": " << check.detail;
@@ -64,7 +64,7 @@ TEST_F(DistributionTest, SkewedSelectorFailsTheUniformExpectation) {
   // distribution must trip the chi-square screen.
   std::vector<double> uniform(64, 1.0 / 63.0);
   uniform[5] = 0.0;
-  ws::TofuSkewedSelector selector(5, latency_, 1, 2048);
+  proto::TofuSkewedSelector selector(5, latency_, 1, 2048);
   const DistributionCheck check =
       check_selector_distribution(selector, uniform, 5, 20000);
   EXPECT_FALSE(check.ok);
@@ -80,7 +80,7 @@ TEST_F(DistributionTest, HierarchicalExpectationUsesCorrectedSplit) {
   cfg.hierarchical_local_tries = 3;
   const std::vector<double> expected =
       expected_distribution(cfg, 0, 64, latency_);
-  ws::HierarchicalSelector selector(0, latency_, 7, 3);
+  proto::HierarchicalSelector selector(0, latency_, 7, 3);
   double local_mass = 0.0;
   for (const topo::Rank r : selector.local_set()) local_mass += expected[r];
   EXPECT_NEAR(local_mass, 0.75, 1e-9);
@@ -101,12 +101,12 @@ TEST_F(DistributionTest, LocalTriesKnobChangesTheDistribution) {
 
   ws::WsConfig mostly_local = all_remote;
   mostly_local.hierarchical_local_tries = 4;
-  auto selector = ws::make_selector(mostly_local, 0, latency_);
+  auto selector = proto::make_selector(mostly_local, 0, latency_);
   const DistributionCheck cross =
       check_selector_distribution(*selector, remote_only, 0, 20000);
   EXPECT_FALSE(cross.ok);
 
-  auto remote_selector = ws::make_selector(all_remote, 0, latency_);
+  auto remote_selector = proto::make_selector(all_remote, 0, latency_);
   const DistributionCheck own =
       check_selector_distribution(*remote_selector, remote_only, 0, 20000);
   EXPECT_TRUE(own.ok) << own.detail;
@@ -122,7 +122,7 @@ TEST_F(DistributionTest, RemoteTriesKnobChangesTheHierarchicalSplit) {
   cfg.hierarchical_remote_tries = 3;
   const std::vector<double> expected =
       expected_distribution(cfg, 0, 64, latency_);
-  ws::HierarchicalSelector selector(0, latency_, 7, 3, 3);
+  proto::HierarchicalSelector selector(0, latency_, 7, 3, 3);
   double local_mass = 0.0;
   for (const topo::Rank r : selector.local_set()) local_mass += expected[r];
   EXPECT_NEAR(local_mass, 0.5, 1e-9);
@@ -141,13 +141,13 @@ TEST_F(DistributionTest, FreshAdaptiveMatchesTheEpsilonMixedTofuExpectation) {
   const topo::Rank self = 5;
   const std::vector<double> expected =
       expected_distribution(cfg, self, 64, latency_);
-  ws::TofuSkewedSelector tofu(self, latency_, cfg.seed, 2048);
+  proto::TofuSkewedSelector tofu(self, latency_, cfg.seed, 2048);
   for (topo::Rank j = 0; j < 64; ++j) {
     const double mixed =
         j == self ? 0.0 : 0.8 * tofu.probability(j) + 0.2 / 63.0;
     EXPECT_NEAR(expected[j], mixed, 1e-12) << j;
   }
-  auto selector = ws::make_selector(cfg, self, latency_);
+  auto selector = proto::make_selector(cfg, self, latency_);
   const DistributionCheck check =
       check_selector_distribution(*selector, expected, self, 20000);
   EXPECT_TRUE(check.ok) << check.detail;
@@ -156,8 +156,8 @@ TEST_F(DistributionTest, FreshAdaptiveMatchesTheEpsilonMixedTofuExpectation) {
 TEST_F(DistributionTest, TofuBackendsSelectByThresholdAndAgree) {
   // 64 ranks: max_ranks = 2048 keeps the Walker alias table, max_ranks = 1
   // forces rejection sampling. Identical probability vectors either way.
-  ws::TofuSkewedSelector alias(3, latency_, 7, 2048);
-  ws::TofuSkewedSelector rejection(3, latency_, 7, 1);
+  proto::TofuSkewedSelector alias(3, latency_, 7, 2048);
+  proto::TofuSkewedSelector rejection(3, latency_, 7, 1);
   EXPECT_TRUE(alias.uses_alias_table());
   EXPECT_FALSE(rejection.uses_alias_table());
   for (topo::Rank r = 0; r < 64; ++r) {
@@ -178,7 +178,7 @@ TEST_F(DistributionTest, TofuAgreementHoldsOnBothSidesOfTheThreshold) {
     cfg.alias_table_max_ranks = max_ranks;
     const std::vector<double> expected =
         expected_distribution(cfg, 9, 64, latency_);
-    auto selector = ws::make_selector(cfg, 9, latency_);
+    auto selector = proto::make_selector(cfg, 9, latency_);
     const DistributionCheck check =
         check_selector_distribution(*selector, expected, 9, 20000);
     EXPECT_TRUE(check.ok) << "max_ranks=" << max_ranks << ": " << check.detail;

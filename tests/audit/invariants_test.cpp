@@ -8,7 +8,7 @@
 
 #include "uts/sequential.hpp"
 #include "uts/tree.hpp"
-#include "ws/message.hpp"
+#include "proto/message.hpp"
 #include "ws/scheduler.hpp"
 
 namespace dws::audit {
@@ -126,7 +126,7 @@ TEST(WorkFamily, TerminationWithWorkInFlightIsCaught) {
   a.on_node_expanded(0, root, 6);
   a.on_steal_request_sent(1, 0, 8);
   a.on_steal_response_sent(0, 1, 1, 4, 64);  // 4 nodes leave, never land
-  a.on_token_sent(15, 0, ws::Token{});
+  a.on_token_sent(15, 0, proto::Token{});
   a.on_termination(100);
   EXPECT_TRUE(has_violation(a.report(), Family::kWork, "in flight"));
 }
@@ -199,13 +199,13 @@ TEST(ClockFamily, ActiveAfterTerminationIsCaught) {
 
 TEST(ClockFamily, TokenLeavingTheRingIsCaught) {
   Auditor a(small_config());
-  a.on_token_sent(3, 7, ws::Token{});
+  a.on_token_sent(3, 7, proto::Token{});
   EXPECT_TRUE(has_violation(a.report(), Family::kClock, "left the ring"));
 }
 
 TEST(ClockFamily, UnsoundTerminationTokenIsCaught) {
   Auditor a(small_config());
-  ws::Token t;
+  proto::Token t;
   t.black = false;
   t.sent = 5;
   t.recv = 3;  // counters do not balance: rank 0 must not accept this

@@ -1,10 +1,10 @@
-#include "ws/chunk_stack.hpp"
+#include "proto/chunk_stack.hpp"
 
 #include <gtest/gtest.h>
 
 #include "crypto/uts_rng.hpp"
 
-namespace dws::ws {
+namespace dws::proto {
 namespace {
 
 uts::TreeNode node(std::uint32_t tag) {
@@ -193,4 +193,4 @@ TEST(ChunkStack, NoNodesLostAcrossMixedWorkload) {
 }
 
 }  // namespace
-}  // namespace dws::ws
+}  // namespace dws::proto

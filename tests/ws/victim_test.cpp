@@ -1,4 +1,4 @@
-#include "ws/victim.hpp"
+#include "proto/victim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ class VictimTest : public ::testing::Test {
 };
 
 TEST_F(VictimTest, RoundRobinStartsAtNeighbour) {
-  RoundRobinSelector s(3, 8);
+  proto::RoundRobinSelector s(3, 8);
   EXPECT_EQ(s.next(), 4u);
   EXPECT_EQ(s.next(), 5u);
   EXPECT_EQ(s.next(), 6u);
@@ -32,24 +32,24 @@ TEST_F(VictimTest, RoundRobinStartsAtNeighbour) {
 }
 
 TEST_F(VictimTest, RoundRobinLastRankWrapsToZero) {
-  RoundRobinSelector s(7, 8);
+  proto::RoundRobinSelector s(7, 8);
   EXPECT_EQ(s.next(), 0u);
   EXPECT_EQ(s.next(), 1u);
 }
 
 TEST_F(VictimTest, RoundRobinNeverReturnsSelf) {
-  RoundRobinSelector s(2, 4);
+  proto::RoundRobinSelector s(2, 4);
   for (int i = 0; i < 100; ++i) EXPECT_NE(s.next(), 2u);
 }
 
 TEST_F(VictimTest, RoundRobinTwoRanks) {
-  RoundRobinSelector s(0, 2);
+  proto::RoundRobinSelector s(0, 2);
   EXPECT_EQ(s.next(), 1u);
   EXPECT_EQ(s.next(), 1u);
 }
 
 TEST_F(VictimTest, UniformNeverReturnsSelfAndCoversAll) {
-  UniformRandomSelector s(5, 16, 42);
+  proto::UniformRandomSelector s(5, 16, 42);
   std::set<topo::Rank> seen;
   for (int i = 0; i < 2000; ++i) {
     const auto v = s.next();
@@ -61,7 +61,7 @@ TEST_F(VictimTest, UniformNeverReturnsSelfAndCoversAll) {
 }
 
 TEST_F(VictimTest, UniformIsRoughlyUniform) {
-  UniformRandomSelector s(0, 8, 1);
+  proto::UniformRandomSelector s(0, 8, 1);
   std::map<topo::Rank, int> counts;
   const int draws = 70000;
   for (int i = 0; i < draws; ++i) ++counts[s.next()];
@@ -71,8 +71,8 @@ TEST_F(VictimTest, UniformIsRoughlyUniform) {
 }
 
 TEST_F(VictimTest, UniformDifferentRanksGetDifferentStreams) {
-  UniformRandomSelector a(0, 1024, 7);
-  UniformRandomSelector b(1, 1024, 7);
+  proto::UniformRandomSelector a(0, 1024, 7);
+  proto::UniformRandomSelector b(1, 1024, 7);
   int same = 0;
   for (int i = 0; i < 100; ++i) {
     if (a.next() == b.next()) ++same;
@@ -83,14 +83,14 @@ TEST_F(VictimTest, UniformDifferentRanksGetDifferentStreams) {
 TEST_F(VictimTest, TofuSelectorUsesAliasTableBelowThreshold) {
   topo::JobLayout layout(machine_, 64, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector s(0, latency, 1, 2048);
+  proto::TofuSkewedSelector s(0, latency, 1, 2048);
   EXPECT_TRUE(s.uses_alias_table());
 }
 
 TEST_F(VictimTest, TofuSelectorUsesRejectionAboveThreshold) {
   topo::JobLayout layout(machine_, 64, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector s(0, latency, 1, 32);
+  proto::TofuSkewedSelector s(0, latency, 1, 32);
   EXPECT_FALSE(s.uses_alias_table());
 }
 
@@ -98,7 +98,7 @@ TEST_F(VictimTest, TofuNeverReturnsSelf) {
   topo::JobLayout layout(machine_, 48, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
   for (std::uint32_t threshold : {2048u, 8u}) {
-    TofuSkewedSelector s(7, latency, 3, threshold);
+    proto::TofuSkewedSelector s(7, latency, 3, threshold);
     for (int i = 0; i < 5000; ++i) ASSERT_NE(s.next(), 7u);
   }
 }
@@ -106,7 +106,7 @@ TEST_F(VictimTest, TofuNeverReturnsSelf) {
 TEST_F(VictimTest, TofuProbabilitiesSumToOne) {
   topo::JobLayout layout(machine_, 96, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector s(0, latency, 1, 2048);
+  proto::TofuSkewedSelector s(0, latency, 1, 2048);
   double sum = 0.0;
   for (topo::Rank j = 0; j < 96; ++j) sum += s.probability(j);
   EXPECT_NEAR(sum, 1.0, 1e-12);
@@ -116,7 +116,7 @@ TEST_F(VictimTest, TofuProbabilitiesSumToOne) {
 TEST_F(VictimTest, TofuPrefersCloseVictims) {
   topo::JobLayout layout(machine_, 1024, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector s(0, latency, 1, 2048);
+  proto::TofuSkewedSelector s(0, latency, 1, 2048);
   // Rank 1 shares the cube with rank 0; rank 1023 is across the allocation.
   EXPECT_GT(s.probability(1), s.probability(1023));
   // Empirically: nearby ranks drawn far more often.
@@ -133,7 +133,7 @@ TEST_F(VictimTest, TofuPrefersCloseVictims) {
 TEST_F(VictimTest, TofuSampleFrequenciesMatchProbabilities) {
   topo::JobLayout layout(machine_, 48, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector s(3, latency, 9, 2048);
+  proto::TofuSkewedSelector s(3, latency, 9, 2048);
   std::vector<int> counts(48, 0);
   const int draws = 480000;
   for (int i = 0; i < draws; ++i) ++counts[s.next()];
@@ -148,8 +148,8 @@ TEST_F(VictimTest, TofuSampleFrequenciesMatchProbabilities) {
 TEST_F(VictimTest, AliasAndRejectionBackendsAgree) {
   topo::JobLayout layout(machine_, 96, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector alias(0, latency, 11, 2048);
-  TofuSkewedSelector rejection(0, latency, 12, 8);
+  proto::TofuSkewedSelector alias(0, latency, 11, 2048);
+  proto::TofuSkewedSelector rejection(0, latency, 12, 8);
   ASSERT_TRUE(alias.uses_alias_table());
   ASSERT_FALSE(rejection.uses_alias_table());
   std::vector<int> ca(96, 0);
@@ -171,7 +171,7 @@ TEST_F(VictimTest, TofuSameNodeRanksGetWeightOne) {
   // e = 0 -> w = 1, the paper's special case.
   topo::JobLayout layout(machine_, 64, topo::Placement::kGrouped, 8);
   topo::LatencyModel latency(layout);
-  TofuSkewedSelector s(0, latency, 5, 2048);
+  proto::TofuSkewedSelector s(0, latency, 5, 2048);
   // All co-located ranks share the maximal probability.
   const double p1 = s.probability(1);
   for (topo::Rank j = 2; j < 8; ++j) EXPECT_DOUBLE_EQ(s.probability(j), p1);
@@ -183,13 +183,13 @@ TEST_F(VictimTest, FactoryBuildsConfiguredPolicy) {
   topo::LatencyModel latency(layout);
   WsConfig cfg;
   cfg.victim_policy = VictimPolicy::kRoundRobin;
-  auto rr = make_selector(cfg, 2, latency);
+  auto rr = proto::make_selector(cfg, 2, latency);
   EXPECT_EQ(rr->next(), 3u);
   cfg.victim_policy = VictimPolicy::kRandom;
-  auto rnd = make_selector(cfg, 2, latency);
+  auto rnd = proto::make_selector(cfg, 2, latency);
   for (int i = 0; i < 50; ++i) EXPECT_NE(rnd->next(), 2u);
   cfg.victim_policy = VictimPolicy::kTofuSkewed;
-  auto tofu = make_selector(cfg, 2, latency);
+  auto tofu = proto::make_selector(cfg, 2, latency);
   for (int i = 0; i < 50; ++i) EXPECT_NE(tofu->next(), 2u);
 }
 
@@ -209,8 +209,8 @@ TEST_F(VictimTest, SameTofuBackendIsRunLevelDeterministic) {
   a.ws.alias_table_max_ranks = 16;
   ws::RunConfig b = base;
   b.ws.alias_table_max_ranks = 1024;
-  ASSERT_TRUE(tofu_uses_alias(a.ws, a.num_ranks));
-  ASSERT_TRUE(tofu_uses_alias(b.ws, b.num_ranks));
+  ASSERT_TRUE(proto::tofu_uses_alias(a.ws, a.num_ranks));
+  ASSERT_TRUE(proto::tofu_uses_alias(b.ws, b.num_ranks));
 
   const RunResult ra = run_simulation(a);
   const RunResult rb = run_simulation(b);
@@ -223,7 +223,7 @@ TEST_F(VictimTest, SameTofuBackendIsRunLevelDeterministic) {
   // draw stream; the run must still conserve the tree exactly.
   ws::RunConfig c = base;
   c.ws.alias_table_max_ranks = 4;
-  ASSERT_FALSE(tofu_uses_alias(c.ws, c.num_ranks));
+  ASSERT_FALSE(proto::tofu_uses_alias(c.ws, c.num_ranks));
   EXPECT_EQ(run_simulation(c).nodes, ra.nodes);
 }
 
@@ -246,7 +246,7 @@ TEST_F(VictimTest, AdaptiveNeverReturnsSelfOnEitherBackend) {
   cfg.victim_policy = VictimPolicy::kAdaptive;
   for (std::uint32_t threshold : {2048u, 1u}) {
     cfg.alias_table_max_ranks = threshold;
-    AdaptiveSkewedSelector s(7, latency, 3, cfg);
+    proto::AdaptiveSkewedSelector s(7, latency, 3, cfg);
     EXPECT_EQ(s.uses_alias_table(), threshold == 2048u);
     for (int i = 0; i < 5000; ++i) ASSERT_NE(s.next(), 7u);
   }
@@ -258,7 +258,7 @@ TEST_F(VictimTest, AdaptiveDownWeightsVictimsThatStopResponding) {
   WsConfig cfg;
   cfg.victim_policy = VictimPolicy::kAdaptive;
   cfg.adapt_refresh_interval = 1;  // alias table tracks every feedback step
-  AdaptiveSkewedSelector s(0, latency, 1, cfg);
+  proto::AdaptiveSkewedSelector s(0, latency, 1, cfg);
 
   const double p_before = s.probability(1);
   // Victim 1 times out repeatedly at 50 µs while victim 2 (same distance
@@ -290,9 +290,9 @@ TEST_F(VictimTest, AdaptiveFeedbackStateIsBackendIndependent) {
   WsConfig cfg;
   cfg.victim_policy = VictimPolicy::kAdaptive;
   cfg.alias_table_max_ranks = 2048;
-  AdaptiveSkewedSelector alias(3, latency, 7, cfg);
+  proto::AdaptiveSkewedSelector alias(3, latency, 7, cfg);
   cfg.alias_table_max_ranks = 1;
-  AdaptiveSkewedSelector rejection(3, latency, 7, cfg);
+  proto::AdaptiveSkewedSelector rejection(3, latency, 7, cfg);
   ASSERT_TRUE(alias.uses_alias_table());
   ASSERT_FALSE(rejection.uses_alias_table());
 
@@ -327,7 +327,7 @@ TEST_F(VictimTest, AdaptiveSampleFrequenciesTrackTheLiveWeights) {
   cfg.adapt_refresh_interval = 1;
   for (std::uint32_t threshold : {2048u, 1u}) {
     cfg.alias_table_max_ranks = threshold;
-    AdaptiveSkewedSelector s(3, latency, 9, cfg);
+    proto::AdaptiveSkewedSelector s(3, latency, 9, cfg);
     for (int i = 0; i < 8; ++i) {
       s.on_steal_result(1, false, 50'000);
       s.on_steal_result(10, true, 800);
@@ -348,7 +348,7 @@ TEST_F(VictimTest, FactoryBuildsAdaptiveSelector) {
   topo::LatencyModel latency(layout);
   WsConfig cfg;
   cfg.victim_policy = VictimPolicy::kAdaptive;
-  auto s = make_selector(cfg, 2, latency);
+  auto s = proto::make_selector(cfg, 2, latency);
   for (int i = 0; i < 50; ++i) EXPECT_NE(s->next(), 2u);
   // The factory product carries the feedback seam, not just the base class.
   s->on_steal_result(1, false, 10'000);
