@@ -24,8 +24,14 @@ int main(int argc, char** argv) {
                          : 256u;
   const char* strategy = argc > 3 ? argv[3] : "reference";
 
+  const uts::TreeParams* tree_params = uts::find_tree(tree);
+  if (tree_params == nullptr) {
+    std::fprintf(stderr, "unknown catalogue tree '%s'\n", tree);
+    return 2;
+  }
+
   ws::RunConfig cfg;
-  cfg.tree = uts::tree_by_name(tree);
+  cfg.tree = *tree_params;
   cfg.num_ranks = ranks;
   cfg.ws.chunk_size = 4;
   cfg.enable_congestion();

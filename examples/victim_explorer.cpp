@@ -31,6 +31,12 @@ int main(int argc, char** argv) {
                          ? static_cast<std::uint32_t>(std::strtoul(argv[4], nullptr, 10))
                          : 4u;
 
+  const uts::TreeParams* tree_params = uts::find_tree(tree);
+  if (tree_params == nullptr) {
+    std::fprintf(stderr, "unknown catalogue tree '%s'\n", tree);
+    return 2;
+  }
+
   topo::Placement placement = topo::Placement::kOnePerNode;
   std::uint32_t ppn = 1;
   if (std::strcmp(placement_arg, "8rr") == 0) {
@@ -67,7 +73,7 @@ int main(int argc, char** argv) {
 
   for (const auto& v : variants) {
     ws::RunConfig cfg;
-    cfg.tree = uts::tree_by_name(tree);
+    cfg.tree = *tree_params;
     cfg.num_ranks = ranks;
     cfg.placement = placement;
     cfg.procs_per_node = ppn;
