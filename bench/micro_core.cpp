@@ -23,7 +23,6 @@
 #include "crypto/sha1.hpp"
 #include "crypto/uts_rng.hpp"
 #include "sim/engine.hpp"
-#include "sm/chase_lev.hpp"
 #include "support/alias_table.hpp"
 #include "support/rejection_sampler.hpp"
 #include "support/rng.hpp"
@@ -200,31 +199,6 @@ void BM_EngineScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_EngineScheduleRun);
-
-void BM_ChaseLevOwnerPushPop(benchmark::State& state) {
-  sm::ChaseLevDeque<std::uint64_t> deque;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    deque.push_bottom(i++);
-    benchmark::DoNotOptimize(deque.pop_bottom());
-  }
-}
-BENCHMARK(BM_ChaseLevOwnerPushPop);
-
-void BM_ChaseLevStealPath(benchmark::State& state) {
-  sm::ChaseLevDeque<std::uint64_t> deque;
-  for (std::uint64_t i = 0; i < 1024; ++i) deque.push_bottom(i);
-  for (auto _ : state) {
-    auto v = deque.steal_top();
-    if (!v.has_value()) {
-      state.PauseTiming();
-      for (std::uint64_t i = 0; i < 1024; ++i) deque.push_bottom(i);
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(v);
-  }
-}
-BENCHMARK(BM_ChaseLevStealPath);
 
 void BM_LatencyQuery(benchmark::State& state) {
   static topo::TofuMachine machine;

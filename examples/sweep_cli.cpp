@@ -15,13 +15,13 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/args.hpp"
 #include "exp/record.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "uts/params.hpp"
 #include "ws/builder.hpp"
 
 namespace {
@@ -109,17 +109,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  auto trees = exp::tree_axis(exp::split_list(tree));
+  if (!trees) {
+    std::fprintf(stderr, "--tree: %s\n", trees.error().c_str());
+    return 2;
+  }
+
   // The base config: every axis mutates a copy of this. The tree and ranks
   // flags always produce an axis (single-valued axes are fine), so the
   // builder's placeholder values here never survive expansion.
-  for (const std::string& name : exp::split_list(tree)) {
-    if (uts::find_tree(name) == nullptr) {
-      std::fprintf(stderr, "--tree: unknown tree '%s' (see uts catalogue)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-
   ws::RunConfigBuilder builder;
   builder.tree(exp::split_list(tree).front()).ranks(1).chunk_size(4);
   if (!no_congestion) builder.congestion(1.0);
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
 
   exp::SweepSpec sweep(base,
                        zip ? exp::SweepMode::kZip : exp::SweepMode::kCartesian);
-  sweep.axis(exp::tree_axis(exp::split_list(tree)));
+  sweep.axis(std::move(trees).value());
   {
     const auto list = parse_u32_list(ranks);
     if (!list) {

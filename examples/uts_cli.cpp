@@ -1,7 +1,7 @@
 /// uts_cli: a UTS-compatible command line front end. Accepts the classic UTS
-/// tree flags and runs the tree through any of the three engines in this
-/// repository — sequential enumerator, real-threads pool, or the distributed
-/// work-stealing simulator.
+/// tree flags and runs the tree through the sequential enumerator or the
+/// distributed work-stealing scheduler, on the simulator or, with
+/// --backend rt, on real threads.
 ///
 ///   ./uts_cli -t 0 -b 2000 -q 0.495 -m 2 -r 5 -e sim -n 128
 ///   ./uts_cli --tree SIMWL --engine sim --ranks 512 --policy tofu --out run.jsonl
@@ -21,7 +21,6 @@
 #include "exp/sweep.hpp"
 #include "metrics/occupancy.hpp"
 #include "metrics/service_stats.hpp"
-#include "sm/pool.hpp"
 #include "svc/service.hpp"
 #include "uts/params.hpp"
 #include "uts/sequential.hpp"
@@ -63,8 +62,8 @@ int main(int argc, char** argv) {
   sim_cfg.ws.chunk_size = 20;
 
   exp::ArgSpec spec(argv[0],
-                    "run a UTS tree through the sequential, shared-memory or "
-                    "distributed-simulator engine");
+                    "run a UTS tree through the sequential enumerator or the "
+                    "distributed work-stealing engine");
   spec.str("--tree", "", "catalogue tree name (overrides the -t/-b/... flags)",
            &catalogue)
       .u32("--type", "-t", "tree type: 0 binomial, 1 geometric, 2 hybrid",
@@ -80,12 +79,13 @@ int main(int argc, char** argv) {
            "geometric shape: 0 linear, 1 expdec, 2 cyclic, 3 fixed", &shape)
       .u32("--granularity", "-g", "SHA rounds charged per node (sim engine)",
            &sim_cfg.ws.sha_rounds)
-      .str("--engine", "-e", "engine: seq|pool|sim (default seq)", &engine)
+      .str("--engine", "-e", "engine: seq|sim (default seq)", &engine)
       .str("--backend", "",
            "work-stealing backend for --engine sim: sim (virtual-time "
            "simulator, default) or rt (real threads, wall-clock time)",
            &backend)
-      .u32("--ranks", "-n", "ranks (sim) or threads (pool), default 4", &n)
+      .u32("--ranks", "-n",
+           "ranks (sim; threads with --backend rt), default 4", &n)
       .option("--policy", "-v", "P",
               std::string("victim policy (sim): ") + exp::policy_flag_values(),
               [&](std::string_view v) -> support::Status {
@@ -242,6 +242,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (spec.help_requested()) return 0;
+  if (engine != "seq" && engine != "sim") {
+    std::fprintf(stderr, "--engine must be seq|sim\n");
+    return 2;
+  }
   if (tree_type > 2) {
     std::fprintf(stderr, "--type must be 0, 1 or 2\n");
     return 2;
@@ -290,14 +294,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.nodes),
                 static_cast<unsigned long long>(s.leaves), s.max_depth,
                 s.truncated ? " (TRUNCATED at limit)" : "");
-  } else if (engine == "pool") {
-    sm::UtsThreadPool pool(tree, n);
-    const auto s = pool.run();
-    std::printf("engine: shared-memory pool, %u threads\n", n);
-    std::printf("nodes=%llu leaves=%llu depth=%u\n",
-                static_cast<unsigned long long>(s.nodes),
-                static_cast<unsigned long long>(s.leaves), s.max_depth);
-  } else if (engine == "sim") {
+  } else {
     if (backend == "rt") {
       sim_cfg.backend = ws::Backend::kRt;
     } else if (backend != "sim") {
@@ -423,9 +420,6 @@ int main(int argc, char** argv) {
       writer.write(exp::SweepPoint{0, {}, sim_cfg}, point_result);
       std::printf("record written to %s\n", out.c_str());
     }
-  } else {
-    std::fprintf(stderr, "--engine must be seq|pool|sim\n");
-    return 2;
   }
   return 0;
 }

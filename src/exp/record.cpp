@@ -232,7 +232,9 @@ std::string canonical_config(const ws::RunConfig& c) {
     if (c.svc.alloc == svc::AllocPolicy::kSpaceShare) {
       kvu("svc.ranks_per_job", c.svc.ranks_per_job);
     }
-    kv("svc.kind", svc::to_string(c.svc.kind));
+    // Every job runs a UTS tree. The key stays so that service fingerprints,
+    // checked byte for byte by the executor golden, do not move.
+    kv("svc.kind", "uts");
     if (!c.svc.mix.empty()) {
       std::string mix;
       for (const svc::JobMixEntry& e : c.svc.mix) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "uts/params.hpp"
 #include "ws/config.hpp"
 
 namespace dws::exp {
@@ -54,15 +55,19 @@ Axis sha_rounds_axis(const std::vector<std::uint32_t>& rounds) {
   return axis;
 }
 
-Axis tree_axis(const std::vector<std::string>& catalogue_names) {
+support::Expected<Axis> tree_axis(
+    const std::vector<std::string>& catalogue_names) {
   Axis axis{"tree", {}};
   for (const std::string& name : catalogue_names) {
-    // Unknown names keep the base tree; the runner's validation pass is not
-    // the right place to catch this (the config is well-formed), so resolve
-    // eagerly and let tree_by_name report misuse.
-    axis.points.push_back({name, [name](ws::RunConfig& cfg) {
-                             cfg.tree = uts::tree_by_name(name);
-                           }});
+    // Resolved here, not at apply time: a point with an unknown tree would
+    // still be a well-formed config, so the runner's validation cannot see it.
+    const uts::TreeParams* tree = uts::find_tree(name);
+    if (tree == nullptr) {
+      return support::Expected<Axis>::failure("unknown catalogue tree '" +
+                                              name + "'");
+    }
+    axis.points.push_back(
+        {name, [tree](ws::RunConfig& cfg) { cfg.tree = *tree; }});
   }
   return axis;
 }

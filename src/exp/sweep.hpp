@@ -39,7 +39,9 @@ Axis policy_axis(const std::vector<ws::VictimPolicy>& policies);
 Axis steal_axis(const std::vector<ws::StealAmount>& amounts);
 Axis chunk_size_axis(const std::vector<std::uint32_t>& sizes);
 Axis sha_rounds_axis(const std::vector<std::uint32_t>& rounds);
-Axis tree_axis(const std::vector<std::string>& catalogue_names);
+/// Catalogue trees by name; an unknown name is an error naming it.
+support::Expected<Axis> tree_axis(
+    const std::vector<std::string>& catalogue_names);
 /// Seeds first .. first+count-1, labelled by value.
 Axis seed_axis(std::uint64_t first, std::uint64_t count);
 /// Congestion capacity scales; 0 turns the model off for that point.

@@ -7,7 +7,7 @@
 namespace dws::metrics {
 
 // Every RankStats field is 8 bytes wide; a new one must join accumulate().
-static_assert(sizeof(RankStats) == 22 * 8,
+static_assert(sizeof(RankStats) == 20 * 8,
               "RankStats gained or lost a field: update accumulate()");
 
 void accumulate(RankStats& into, const RankStats& s) {
@@ -30,8 +30,6 @@ void accumulate(RankStats& into, const RankStats& s) {
   into.sessions += s.sessions;
   into.total_session_time += s.total_session_time;
   into.total_search_time += s.total_search_time;
-  into.total_gather_time += s.total_gather_time;
-  into.remote_inputs += s.remote_inputs;
   into.finish_time = std::max(into.finish_time, s.finish_time);
 }
 

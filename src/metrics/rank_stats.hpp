@@ -50,12 +50,6 @@ struct RankStats {
   /// Time spent waiting for steal answers (UTS's "search time", Fig. 14).
   support::SimTime total_search_time = 0;
 
-  /// DAG workloads only (src/dag): virtual time spent gathering input data
-  /// from remote predecessors, and how many inputs were remote — the
-  /// bandwidth-sensitivity the paper's §VII predicts for dependent tasks.
-  support::SimTime total_gather_time = 0;
-  std::uint64_t remote_inputs = 0;
-
   support::SimTime finish_time = 0;  ///< when this rank learnt of termination
 };
 

@@ -11,8 +11,8 @@
 namespace dws::metrics {
 
 /// Everything needed to render a human-readable run summary, decoupled from
-/// the scheduler types so both the UTS (`ws::RunResult`) and DAG
-/// (`dag::DagRunResult`) runs can feed it.
+/// the scheduler types: a caller copies in the per-rank counters it has
+/// (`ws::RunResult` carries all of them).
 struct ReportInput {
   std::string title;
   std::uint32_t num_ranks = 0;
@@ -24,8 +24,8 @@ struct ReportInput {
 
 /// Multi-section plain-text report: timing/speedup, steal statistics,
 /// work-discovery sessions, load imbalance, and (when a trace is present)
-/// the occupancy summary with SL/EL at standard levels. Used by the examples
-/// and handy for quick copies into lab notes.
+/// the occupancy summary with SL/EL at standard levels. Handy for quick
+/// copies into lab notes.
 std::string render_report(const ReportInput& input);
 
 }  // namespace dws::metrics

@@ -32,8 +32,8 @@ namespace dws::sim {
 ///
 ///  - typed events (the hot path): a fixed-size POD record dispatched with
 ///    a single indirect call to the scheduling EventSink — no per-event
-///    allocation, no type erasure (sim::Network, ws::Worker and the dag
-///    workers enumerate their continuations as EventKinds);
+///    allocation, no type erasure (sim::Network, ws::Worker and
+///    svc::Controller enumerate their continuations as EventKinds);
 ///  - generic events (EventKind::kGeneric): the std::function escape hatch
 ///    for tests and examples. The closure lives in a slab pool slot, so
 ///    even this path allocates only what std::function itself needs.

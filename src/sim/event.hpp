@@ -13,7 +13,7 @@ class EventSink;
 /// tests and examples); every other kind belongs to the EventSink that
 /// scheduled it, which decodes `rank`/`payload` accordingly. Keeping the
 /// full table in one place documents the event model and keeps kinds unique
-/// across layers, even though sim/ never dispatches the ws/dag ones.
+/// across layers, even though sim/ never dispatches the ws/svc ones.
 enum class EventKind : std::uint32_t {
   kGeneric = 0,       ///< engine-owned closure; payload = action-pool handle
   kNetworkDeliver,    ///< sim::Network: rank = dst, payload = in-flight handle
@@ -21,8 +21,6 @@ enum class EventKind : std::uint32_t {
   kWorkerStep,        ///< ws::Worker poll/expand boundary; rank = worker rank
   kDeferredResponse,  ///< ws::Worker packaged steal response leaving the rank;
                       ///< payload = ExecContext deferred-send pool handle
-  kDagStart,          ///< dag worker bootstrap; rank = worker rank
-  kDagTaskComplete,   ///< dag task completion; payload = TaskId
   kStealTimeout,      ///< ws::Worker steal-request timer; payload = request id
   kTokenTimeout,      ///< ws::Worker rank-0 token timer; payload = generation
   kSvcArrival,        ///< svc::Controller job arrival; payload = job id. Lives
@@ -73,7 +71,7 @@ struct Event {
 };
 
 /// Receiver of typed events. Implemented by sim::Network, ws::Worker and
-/// dag's workers; the engine performs exactly one indirect call per typed
+/// svc::Controller; the engine performs exactly one indirect call per typed
 /// event. Sinks are non-owning and must outlive every event they scheduled.
 class EventSink {
  public:

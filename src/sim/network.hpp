@@ -217,8 +217,8 @@ class ChannelTable {
 /// Event-core integration: a send parks the message in a slab pool and
 /// schedules one typed kNetworkDeliver event carrying the pool handle — no
 /// per-message closure, no per-message allocation beyond what the message
-/// itself owns. `Deliver` defaults to std::function for tests; the ws and
-/// dag schedulers pass a concrete functor so delivery is a direct call.
+/// itself owns. `Deliver` defaults to std::function for tests; the ws
+/// scheduler passes a concrete functor so delivery is a direct call.
 ///
 /// Channel lifecycle: the non-overtaking clamp needs a channel's previous
 /// arrival time only while a delivery is still in flight — once the last one

@@ -35,10 +35,6 @@ enum class AllocPolicy : std::uint8_t {
   kTimeShare,
 };
 
-/// What kind of workload a job runs. Only kUts is implemented; kDag is the
-/// documented extension seam (RunConfig::validate rejects it for now).
-enum class JobKind : std::uint8_t { kUts, kDag };
-
 /// One entry of the job-size mix: a tree from uts::catalogue() drawn with
 /// probability weight/Σweights. An empty mix runs every job on the config's
 /// own `tree`.
@@ -72,7 +68,6 @@ struct ServiceParams {
   /// pool into num_ranks/ranks_per_job blocks).
   topo::Rank ranks_per_job = 0;
 
-  JobKind kind = JobKind::kUts;
   std::vector<JobMixEntry> mix;
 };
 
@@ -88,14 +83,6 @@ inline const char* to_string(AllocPolicy p) {
   switch (p) {
     case AllocPolicy::kSpaceShare: return "space";
     case AllocPolicy::kTimeShare: return "time";
-  }
-  return "?";
-}
-
-inline const char* to_string(JobKind k) {
-  switch (k) {
-    case JobKind::kUts: return "uts";
-    case JobKind::kDag: return "dag";
   }
   return "?";
 }

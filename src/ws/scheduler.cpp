@@ -189,10 +189,6 @@ support::Status RunConfig::validate() const {
           "(parked ranks refuse every steal, poisoning the feedback EWMAs "
           "with lease noise)");
     }
-    if (svc.kind == svc::JobKind::kDag) {
-      return support::Status::error(
-          "svc.kind=dag is a declared extension seam, not implemented yet");
-    }
     if (svc.arrival == svc::ArrivalKind::kPoisson) {
       if (svc.num_jobs < 1) {
         return support::Status::error("svc poisson arrivals need num_jobs >= 1");

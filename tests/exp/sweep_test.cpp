@@ -141,10 +141,20 @@ TEST(SweepAxes, FactoriesLabelByValue) {
 }
 
 TEST(SweepAxes, TreeAxisLooksUpTheCatalogue) {
-  const Axis trees = tree_axis({"TEST_BIN_TINY", "TEST_BIN_SMALL"});
+  const auto trees = tree_axis({"TEST_BIN_TINY", "TEST_BIN_SMALL"});
+  ASSERT_TRUE(trees.has_value());
   ws::RunConfig cfg = base_config();
-  trees.points[0].apply(cfg);
+  trees.value().points[1].apply(cfg);
+  EXPECT_EQ(cfg.tree.name, "TEST_BIN_SMALL");
+  trees.value().points[0].apply(cfg);
   EXPECT_EQ(cfg.tree.name, "TEST_BIN_TINY");
+}
+
+TEST(SweepAxes, TreeAxisNamesAnUnknownTree) {
+  const auto trees = tree_axis({"TEST_BIN_TINY", "NO_SUCH_TREE"});
+  ASSERT_FALSE(trees.has_value());
+  EXPECT_NE(trees.error().find("'NO_SUCH_TREE'"), std::string::npos)
+      << trees.error();
 }
 
 }  // namespace

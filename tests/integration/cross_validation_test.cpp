@@ -1,17 +1,17 @@
 #include <gtest/gtest.h>
 
-#include "sm/pool.hpp"
+#include "rt/runtime.hpp"
 #include "uts/sequential.hpp"
 #include "ws/scheduler.hpp"
 
 namespace dws {
 namespace {
 
-/// The repo's master oracle (DESIGN.md §6, invariant 1): three independent
-/// implementations — the sequential enumerator, the real-threads Chase-Lev
-/// pool, and the distributed-simulation scheduler — must agree exactly on
-/// every tree. A bug in SHA-1, the splittable RNG, chunk management,
-/// termination detection or the deque shows up as a count mismatch here.
+/// The repo's master oracle (DESIGN.md §6, invariant 1): the sequential
+/// enumerator, the work-stealing protocol on real threads (rt::run_native)
+/// and the same protocol in the simulator must agree exactly on every tree.
+/// A bug in SHA-1, the splittable RNG, chunk management, termination
+/// detection or a real-thread race shows up as a count mismatch here.
 class CrossValidation : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CrossValidation, AllThreeImplementationsAgree) {
@@ -19,8 +19,11 @@ TEST_P(CrossValidation, AllThreeImplementationsAgree) {
 
   const auto seq = uts::enumerate_sequential(tree);
 
-  sm::UtsThreadPool pool(tree, 4);
-  const auto threaded = pool.run();
+  ws::RunConfig threads;
+  threads.tree = tree;
+  threads.num_ranks = 4;
+  threads.backend = ws::Backend::kRt;
+  const auto threaded = rt::run_native(threads);
 
   ws::RunConfig cfg;
   cfg.tree = tree;
@@ -31,7 +34,6 @@ TEST_P(CrossValidation, AllThreeImplementationsAgree) {
 
   EXPECT_EQ(threaded.nodes, seq.nodes);
   EXPECT_EQ(threaded.leaves, seq.leaves);
-  EXPECT_EQ(threaded.max_depth, seq.max_depth);
   EXPECT_EQ(simulated.nodes, seq.nodes);
   EXPECT_EQ(simulated.leaves, seq.leaves);
 }

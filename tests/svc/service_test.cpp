@@ -159,11 +159,6 @@ TEST(Service, ValidateScreensIllFormedServiceConfigs) {
     EXPECT_FALSE(static_cast<bool>(bad.validate()));
   }
   {
-    ws::RunConfig bad = good;
-    bad.svc.kind = JobKind::kDag;
-    EXPECT_FALSE(static_cast<bool>(bad.validate()));
-  }
-  {
     // Adaptive feedback composes with space sharing (disjoint rank sets keep
     // the EWMAs honest) but not with time-share leases, where parked ranks
     // refuse every steal and poison the per-victim state.
