@@ -8,10 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <tuple>
+
 #include "audit/audit.hpp"
 #include "exp/runner.hpp"
+#include "proto/observer.hpp"
 #include "uts/sequential.hpp"
 #include "ws/scheduler.hpp"
+
+namespace dws::proto {
+// Parameter printers: ctest names carry the printed value.
+void PrintTo(VictimPolicy p, std::ostream* os) { *os << to_string(p); }
+void PrintTo(StealAmount a, std::ostream* os) { *os << to_string(a); }
+}  // namespace dws::proto
 
 namespace dws::rt {
 namespace {
@@ -157,6 +169,147 @@ TEST(RtRuntime, ValidateRejectsWhatTheRuntimeCannotHonour) {
   ws::RunConfig plain = small_config(2);
   EXPECT_TRUE(plain.validate().is_ok());
 }
+
+TEST(RtRuntime, WorkActuallyDistributes) {
+  const ws::RunConfig cfg = small_config(4, "SIM200K");
+  const ws::RunResult r = run_native(cfg);
+  expect_conserved(cfg, r);
+  int ranks_with_work = 0;
+  for (const auto& rs : r.per_rank) {
+    if (rs.nodes_processed > 0) ++ranks_with_work;
+  }
+  // On a single-core host the OS may schedule so few quanta to late threads
+  // that only some of them win steals; two is the robust lower bound.
+  EXPECT_GE(ranks_with_work, 2);
+}
+
+TEST(RtRuntime, StealsHappen) {
+  const ws::RunConfig cfg = small_config(4, "SIM200K");
+  const ws::RunResult r = run_native(cfg);
+  std::uint64_t steals = 0, chunks = 0;
+  for (const auto& rs : r.per_rank) {
+    steals += rs.successful_steals;
+    chunks += rs.chunks_received;
+  }
+  EXPECT_GT(steals, 0u);
+  // Every successful steal carries at least one chunk.
+  EXPECT_GE(chunks, steals);
+}
+
+TEST(RtRuntime, ObserverSeesEveryExpansionOnce) {
+  // The LockedObserver forwards hooks from every rank thread: the counts it
+  // delivers must match the run's own ledger exactly.
+  struct Counter final : proto::RunObserver {
+    std::uint64_t roots = 0, expanded = 0, leaves = 0, terminations = 0;
+    std::uint64_t finishes = 0;
+    void on_root(topo::Rank, const uts::TreeNode&) override { ++roots; }
+    void on_node_expanded(topo::Rank, const uts::TreeNode&,
+                          std::uint32_t children) override {
+      ++expanded;
+      if (children == 0) ++leaves;
+    }
+    void on_termination(support::SimTime) override { ++terminations; }
+    void on_finish(topo::Rank, support::SimTime) override { ++finishes; }
+  } counter;
+  const ws::RunConfig cfg = small_config(4);
+  const ws::RunResult r = run_native(cfg, &counter);
+  expect_conserved(cfg, r);
+  EXPECT_EQ(counter.roots, 1u);
+  EXPECT_EQ(counter.expanded, r.nodes);
+  EXPECT_EQ(counter.leaves, r.leaves);
+  EXPECT_EQ(counter.terminations, 1u);
+  EXPECT_EQ(counter.finishes, cfg.num_ranks);
+}
+
+TEST(RtRuntime, TraceIsWellFormedAndEndsIdle) {
+  ws::RunConfig cfg = small_config(4);
+  cfg.ws.record_trace = true;
+  const ws::RunResult r = run_native(cfg);
+  expect_conserved(cfg, r);
+  ASSERT_EQ(r.trace.num_ranks(), cfg.num_ranks);
+  EXPECT_EQ(r.trace.total_time, r.runtime);
+  support::SimTime active = 0;
+  for (const auto& t : r.trace.ranks) {
+    const auto& events = t.events();
+    ASSERT_FALSE(events.empty());
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      EXPECT_LE(events[i - 1].time, events[i].time);
+      // Consecutive duplicates are collapsed, so phases alternate.
+      EXPECT_NE(events[i - 1].phase, events[i].phase);
+    }
+    // Every rank went idle before rank 0 could prove termination.
+    EXPECT_LE(events.back().time, r.runtime);
+    EXPECT_EQ(t.phase_at_end(), metrics::Phase::kIdle);
+    active += t.active_time(r.runtime);
+  }
+  EXPECT_GT(active, 0);
+}
+
+/// Every victim policy and steal amount on real threads: the tree is the
+/// same, and the per-rank steal ledger stays consistent.
+class NativePolicies
+    : public ::testing::TestWithParam<
+          std::tuple<proto::VictimPolicy, proto::StealAmount>> {};
+
+TEST_P(NativePolicies, ConserveAndKeepTheStealLedger) {
+  ws::RunConfig cfg = small_config(4);
+  cfg.ws.victim_policy = std::get<0>(GetParam());
+  cfg.ws.steal_amount = std::get<1>(GetParam());
+  const ws::RunResult r = run_native(cfg);
+  expect_conserved(cfg, r);
+
+  std::uint64_t attempts = 0, failed = 0, ok = 0, served = 0, received = 0;
+  for (const auto& rs : r.per_rank) {
+    attempts += rs.steal_attempts;
+    failed += rs.failed_steals;
+    ok += rs.successful_steals;
+    served += rs.requests_served;
+    received += rs.chunks_received;
+  }
+  // No timeouts: each request has at most one answer, and a refusal may
+  // still be in flight when Terminate arrives.
+  EXPECT_LE(failed + ok, attempts);
+  EXPECT_LE(served, attempts);
+  EXPECT_GE(received, ok);
+  EXPECT_EQ(r.stats.steal_attempts, attempts);
+  EXPECT_EQ(r.stats.successful_steals, ok);
+  EXPECT_EQ(r.stats.failed_steals, failed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PolicyAmount, NativePolicies,
+    ::testing::Combine(::testing::Values(proto::VictimPolicy::kRoundRobin,
+                                         proto::VictimPolicy::kRandom,
+                                         proto::VictimPolicy::kTofuSkewed,
+                                         proto::VictimPolicy::kHierarchical,
+                                         proto::VictimPolicy::kAdaptive),
+                       ::testing::Values(proto::StealAmount::kOneChunk,
+                                         proto::StealAmount::kHalf)));
+
+/// Determinism of the *result* (not the schedule): any rank count and any
+/// selector seed must produce the sequential enumerator's tree totals.
+class NativeSweep
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, topo::Rank, std::uint64_t>> {};
+
+TEST_P(NativeSweep, CountsMatchSequential) {
+  const auto& [tree, ranks, seed] = GetParam();
+  ws::RunConfig cfg = small_config(ranks, tree.c_str());
+  cfg.ws.seed = seed;
+  expect_conserved(cfg, run_native(cfg));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, NativeSweep,
+    ::testing::Values(std::tuple{std::string("TEST_BIN_TINY"), 2u, 1ull},
+                      std::tuple{std::string("TEST_BIN_TINY"), 8u, 2ull},
+                      std::tuple{std::string("TEST_BIN_SMALL"), 3u, 3ull},
+                      std::tuple{std::string("TEST_BIN_SMALL"), 8u, 4ull},
+                      std::tuple{std::string("TEST_BIN_WIDE"), 4u, 5ull},
+                      std::tuple{std::string("TEST_GEO_EXP"), 4u, 6ull},
+                      std::tuple{std::string("TEST_HYBRID"), 6u, 7ull},
+                      std::tuple{std::string("SIM200K"), 8u, 8ull},
+                      std::tuple{std::string("SIM200K"), 16u, 9ull}));
 
 }  // namespace
 }  // namespace dws::rt

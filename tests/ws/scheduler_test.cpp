@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
@@ -225,6 +227,55 @@ TEST_P(SchedulerSeedSweep, ConservationHoldsForAnySeed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerSeedSweep,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+/// Work and span laws: no schedule of a tree on p ranks finishes before its
+/// busiest rank has expanded its nodes one per node cost (so never before
+/// T1/p), nor before the deepest root-to-leaf chain has been expanded node
+/// after node — a child exists only once its parent's expansion is done.
+/// Root height is 0, so a chain to height D holds D + 1 nodes.
+class SchedulingLaws : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SchedulingLaws, MakespanRespectsWorkAndSpan) {
+  const auto seq = uts::enumerate_sequential(uts::tree_by_name(GetParam()));
+  for (const topo::Rank ranks : {4u, 32u}) {
+    for (const auto policy :
+         {VictimPolicy::kRoundRobin, VictimPolicy::kTofuSkewed}) {
+      for (const auto amount : {StealAmount::kOneChunk, StealAmount::kHalf}) {
+        auto cfg = base_config(GetParam(), ranks);
+        cfg.ws.victim_policy = policy;
+        cfg.ws.steal_amount = amount;
+        const auto r = run_simulation(cfg);
+        const support::SimTime c = r.per_node_cost;
+        ASSERT_GT(c, 0);
+        ASSERT_EQ(r.nodes, seq.nodes);
+
+        std::uint64_t busiest = 0;
+        for (const auto& rs : r.per_rank) {
+          busiest = std::max(busiest, rs.nodes_processed);
+        }
+        const auto at = [&] {
+          return std::to_string(ranks) + "/" + to_string(policy) + "/" +
+                 to_string(amount);
+        };
+        EXPECT_GE(r.runtime, static_cast<support::SimTime>(busiest) * c)
+            << at();
+        EXPECT_GE(r.runtime * static_cast<support::SimTime>(ranks),
+                  r.sequential_time())
+            << at();
+        EXPECT_GE(r.runtime,
+                  static_cast<support::SimTime>(seq.max_depth + 1) * c)
+            << at();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Trees, SchedulingLaws,
+                         ::testing::Values("TEST_BIN_TINY", "TEST_BIN_SMALL",
+                                           "TEST_BIN_WIDE", "TEST_GEO_LIN",
+                                           "TEST_GEO_FIX", "TEST_GEO_EXP",
+                                           "TEST_GEO_CYC", "TEST_HYBRID",
+                                           "SIM200K"));
 
 }  // namespace
 }  // namespace dws::ws
