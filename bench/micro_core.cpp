@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/detail/sha1_compress.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/uts_rng.hpp"
 #include "sim/engine.hpp"
@@ -110,6 +111,17 @@ void BM_UtsRngSpawn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UtsRngSpawn);
+
+// The portable path spawn takes on CPUs without the SHA extensions.
+void BM_UtsRngSpawnScalar(benchmark::State& state) {
+  const auto node = crypto::UtsRng::from_seed(316).state();
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::detail::spawn_digest(
+        node, i++ & 0xff, crypto::detail::sha1_compress));
+  }
+}
+BENCHMARK(BM_UtsRngSpawnScalar);
 
 void BM_TreeExpandChild(benchmark::State& state) {
   const auto& params = uts::tree_by_name("SIM200K");

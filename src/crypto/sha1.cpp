@@ -2,82 +2,20 @@
 
 #include <cstring>
 
+#include "crypto/detail/sha1_compress.hpp"
+
 namespace dws::crypto {
 
-namespace {
-
-inline std::uint32_t rotl32(std::uint32_t x, int k) noexcept {
-  return (x << k) | (x >> (32 - k));
-}
-
-inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-}  // namespace
-
 void Sha1::reset() noexcept {
-  h_[0] = 0x67452301u;
-  h_[1] = 0xefcdab89u;
-  h_[2] = 0x98badcfeu;
-  h_[3] = 0x10325476u;
-  h_[4] = 0xc3d2e1f0u;
+  std::memcpy(h_, detail::kSha1Init.data(), sizeof h_);
   total_bytes_ = 0;
   buffered_ = 0;
 }
 
 void Sha1::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-
-  std::uint32_t a = h_[0];
-  std::uint32_t b = h_[1];
-  std::uint32_t c = h_[2];
-  std::uint32_t d = h_[3];
-  std::uint32_t e = h_[4];
-
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f;
-    std::uint32_t k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdcu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6u;
-    }
-    const std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
-
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  std::uint32_t w[16];
+  for (int i = 0; i < 16; ++i) w[i] = detail::load_be32(block + 4 * i);
+  detail::sha1_compress(h_, w);
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) noexcept {
@@ -111,21 +49,18 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Sha1Digest Sha1::finish() noexcept {
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
+  // Padding, written in one update: 0x80, zeros up to 56 bytes mod 64, then
+  // the 64-bit big-endian bit length.
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(std::span<const std::uint8_t>(&pad_one, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  std::uint8_t pad[72] = {0x80};
+  const std::size_t zeros = (119 - buffered_) % 64;
+  for (std::size_t i = 0; i < 8; ++i) {
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(len_bytes, 8));
+  update(std::span<const std::uint8_t>(pad, 1 + zeros + 8));
 
   Sha1Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, h_[i]);
+  for (int i = 0; i < 5; ++i) detail::store_be32(out.data() + 4 * i, h_[i]);
   return out;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dws::crypto {
@@ -49,6 +50,22 @@ TEST(Sha1, ExactBlockBoundaries) {
       ctx.update(std::span<const std::uint8_t>(&byte, 1));
     }
     EXPECT_EQ(ctx.finish(), digest_of(a)) << "len=" << len;
+  }
+}
+
+TEST(Sha1, PaddingBoundaryKnownAnswers) {
+  // finish() pads with one update; these lengths leave 55, 56 and 63 bytes
+  // buffered, so the padding fits one block, spills into a second, or both.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [len, hex] : cases) {
+    EXPECT_EQ(to_hex(digest_of(std::string(len, 'a'))), hex) << "len=" << len;
   }
 }
 

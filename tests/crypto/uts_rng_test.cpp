@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+
+#include "crypto/detail/sha1_compress.hpp"
 
 namespace dws::crypto {
 namespace {
@@ -84,6 +87,63 @@ TEST(UtsRng, DeepChainsDoNotCycle) {
     ASSERT_TRUE(seen.insert(to_hex(node.state())).second) << depth;
     node = node.spawn(0);
   }
+}
+
+// Known answers computed with the incremental Sha1 before spawn had its own
+// one-block path: they pin the tree's identity independently of Sha1.
+TEST(UtsRng, KnownAnswerSeed316Child0) {
+  EXPECT_EQ(to_hex(UtsRng::from_seed(316).spawn(0).state()),
+            "86699693a469c9f0bf2fa25826aae20762628ee9");
+}
+
+TEST(UtsRng, KnownAnswerDepth1000Chain) {
+  // Node at depth d is child d - 1 of its parent.
+  auto node = UtsRng::from_seed(316);
+  for (std::uint32_t i = 0; i < 1000; ++i) node = node.spawn(i);
+  EXPECT_EQ(to_hex(node.state()), "d625ecb6d159136f3ef56734c3f010c1d9e2ccd6");
+}
+
+/// The definition a spawn must reproduce: SHA1(parent || be32(index)).
+Sha1Digest reference_spawn(const Sha1Digest& parent, std::uint32_t index) {
+  std::uint8_t input[kSha1DigestSize + 4];
+  for (std::size_t i = 0; i < kSha1DigestSize; ++i) input[i] = parent[i];
+  for (std::size_t i = 0; i < 4; ++i) {
+    input[kSha1DigestSize + i] =
+        static_cast<std::uint8_t>(index >> (24 - 8 * i));
+  }
+  return Sha1::digest(input);
+}
+
+void expect_matches_sha1(detail::Sha1Compressor compress) {
+  const Sha1Digest root = UtsRng::from_seed(316).state();
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    ASSERT_EQ(detail::spawn_digest(root, i, compress), reference_spawn(root, i))
+        << "index " << i;
+  }
+  ASSERT_EQ(detail::spawn_digest(root, 0xffffffffu, compress),
+            reference_spawn(root, 0xffffffffu));
+
+  // A chain of a million spawns, each index a different bit pattern.
+  Sha1Digest node = root;
+  for (std::uint32_t i = 0; i < 1'000'000; ++i) {
+    const std::uint32_t index = i * 0x9e3779b9u;
+    const Sha1Digest expect = reference_spawn(node, index);
+    node = detail::spawn_digest(node, index, compress);
+    ASSERT_EQ(node, expect) << "depth " << i;
+  }
+}
+
+TEST(UtsRngCompress, ScalarMatchesSha1) {
+  expect_matches_sha1(detail::sha1_compress);
+}
+
+TEST(UtsRngCompress, ShaNiMatchesSha1) {
+  if (!detail::sha_ni_available()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions or SSE4.1";
+  }
+#if DWS_CRYPTO_SHA_NI
+  expect_matches_sha1(detail::sha1_compress_sha_ni);
+#endif
 }
 
 }  // namespace
