@@ -3,11 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 
 #include "uts/sequential.hpp"
+
+// Parameter printers: ctest names carry the printed value.
+namespace dws::proto {
+void PrintTo(VictimPolicy p, std::ostream* os) { *os << to_string(p); }
+void PrintTo(StealAmount a, std::ostream* os) { *os << to_string(a); }
+}  // namespace dws::proto
+
+namespace dws::topo {
+void PrintTo(Placement p, std::ostream* os) { *os << to_string(p); }
+}  // namespace dws::topo
 
 namespace dws::ws {
 namespace {
@@ -162,7 +174,7 @@ TEST(Scheduler, EightPerNodePlacementsRun) {
 /// the sequential node count — termination never drops in-flight work and
 /// chunks never duplicate.
 using OracleParam =
-    std::tuple<const char*, topo::Rank, VictimPolicy, StealAmount,
+    std::tuple<std::string, topo::Rank, VictimPolicy, StealAmount,
                topo::Placement, std::uint32_t /*procs_per_node*/>;
 
 class SchedulerOracle : public ::testing::TestWithParam<OracleParam> {};
@@ -180,6 +192,19 @@ TEST_P(SchedulerOracle, NodeCountMatchesSequential) {
   const auto seq = uts::enumerate_sequential(cfg.tree);
   EXPECT_EQ(result.nodes, seq.nodes);
   EXPECT_EQ(result.leaves, seq.leaves);
+}
+
+/// Stable test names: the tree, ranks, policy, amount, placement and ppn.
+std::string oracle_name(const ::testing::TestParamInfo<OracleParam>& p) {
+  const auto& [tree, ranks, policy, amount, placement, ppn] = p.param;
+  std::string name = tree + "_" + std::to_string(ranks) + "_" +
+                     to_string(policy) + "_" + to_string(amount) + "_" +
+                     to_string(placement) + "_ppn" + std::to_string(ppn);
+  // Test names allow only letters, digits and '_' ("1/N" becomes "1N").
+  std::erase_if(name, [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) == 0 && ch != '_';
+  });
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -208,7 +233,8 @@ INSTANTIATE_TEST_SUITE_P(
         OracleParam{"TEST_GEO_CYC", 6, VictimPolicy::kRoundRobin,
                     StealAmount::kOneChunk, topo::Placement::kOnePerNode, 1},
         OracleParam{"TEST_HYBRID", 12, VictimPolicy::kTofuSkewed,
-                    StealAmount::kHalf, topo::Placement::kOnePerNode, 1}));
+                    StealAmount::kHalf, topo::Placement::kOnePerNode, 1}),
+    oracle_name);
 
 /// Same oracle across many seeds: shakes out rare interleavings in the
 /// termination protocol (in-flight work when the token passes, etc).
