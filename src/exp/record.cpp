@@ -1,15 +1,18 @@
 #include "exp/record.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <span>
+#include <type_traits>
+#include <variant>
 
 #include "crypto/sha1.hpp"
 #include "metrics/service_stats.hpp"
-#include "support/check.hpp"
 #include "support/sim_time.hpp"
 #include "proto/victim.hpp"
 
@@ -274,233 +277,268 @@ std::string config_fingerprint(const ws::RunConfig& config) {
   return crypto::to_hex(digest).substr(0, 12);
 }
 
-RecordWriter::RecordWriter(std::ostream& out, RecordOptions options)
-    : out_(&out), options_(options) {
-  DWS_CHECK(options_.schema_version >= kRecordMinSchemaVersion);
-  DWS_CHECK(options_.schema_version <= kRecordSchemaVersion);
+namespace {
+
+/// Which rows carry a column. Every CSV row has a cell for every written
+/// column (a job row's cells outside its own are zero or empty); a JSONL row
+/// has only the keys of its kind.
+enum class Emit : std::uint8_t {
+  kLead,     // CSV only: JSONL opens each row with `index` and `coords`
+  kRun,      // CSV, JSONL run rows
+  kJob,      // CSV, JSONL job rows
+  kBoth,     // CSV, JSONL run and job rows
+  kFailed,   // CSV, JSONL run rows of failed points
+  kWall,     // CSV and JSONL run rows, with RecordOptions::wall_clock
+  kRetired,  // never written; read from v2..v4 files
+};
+
+using Member =
+    std::variant<std::uint64_t SweepRecord::*, std::uint32_t SweepRecord::*,
+                 double SweepRecord::*, std::string SweepRecord::*,
+                 bool SweepRecord::*>;
+
+struct Column {
+  std::string_view name;
+  Member member;
+  Emit emit;
+};
+
+/// Every record column in wire order: the CSV header, both formats' rows
+/// and the reader all walk this one table. A column's name is its
+/// SweepRecord member's, except the CSV `point` label.
+#define DWS_COLUMN(member, emit) \
+  Column { #member, &SweepRecord::member, Emit::emit }
+const std::array kColumns{
+    DWS_COLUMN(index, kLead),
+    Column{"point", &SweepRecord::label, Emit::kLead},
+    DWS_COLUMN(fingerprint, kBoth),
+    DWS_COLUMN(tree, kRun),
+    DWS_COLUMN(ranks, kRun),
+    DWS_COLUMN(placement, kRun),
+    DWS_COLUMN(procs_per_node, kRun),
+    DWS_COLUMN(policy, kRun),
+    DWS_COLUMN(steal, kRun),
+    DWS_COLUMN(chunk, kRun),
+    DWS_COLUMN(sha_rounds, kRun),
+    DWS_COLUMN(seed, kRun),
+    DWS_COLUMN(ok, kRun),
+    DWS_COLUMN(error, kFailed),
+    DWS_COLUMN(runtime_ms, kRun),
+    DWS_COLUMN(speedup, kRun),
+    DWS_COLUMN(efficiency, kRun),
+    DWS_COLUMN(nodes, kRun),
+    DWS_COLUMN(leaves, kRun),
+    DWS_COLUMN(steal_attempts, kRun),
+    DWS_COLUMN(failed_steals, kRun),
+    DWS_COLUMN(successful_steals, kRun),
+    DWS_COLUMN(sessions, kRun),
+    DWS_COLUMN(mean_session_ms, kRun),
+    DWS_COLUMN(mean_search_ms, kRun),
+    DWS_COLUMN(mean_steal_distance, kRun),
+    DWS_COLUMN(net_messages, kRun),
+    DWS_COLUMN(net_bytes, kRun),
+    DWS_COLUMN(engine_events, kRun),
+    DWS_COLUMN(engine_peak_pending, kRetired),
+    DWS_COLUMN(net_peak_channels, kRetired),
+    DWS_COLUMN(steal_timeouts, kRun),
+    DWS_COLUMN(steal_retries, kRun),
+    DWS_COLUMN(token_regens, kRun),
+    DWS_COLUMN(net_drops, kRun),
+    DWS_COLUMN(net_dups, kRun),
+    DWS_COLUMN(backend, kRun),
+    DWS_COLUMN(per_node_cost_ns, kRun),
+    // Job rows carry `row` in their JSONL lead instead.
+    DWS_COLUMN(row, kRun),
+    DWS_COLUMN(jobs, kRun),
+    DWS_COLUMN(makespan_p50_ms, kRun),
+    DWS_COLUMN(makespan_p99_ms, kRun),
+    DWS_COLUMN(queue_wait_p50_ms, kRun),
+    DWS_COLUMN(queue_wait_p99_ms, kRun),
+    DWS_COLUMN(sched_latency_p50_ms, kRun),
+    DWS_COLUMN(sched_latency_p99_ms, kRun),
+    DWS_COLUMN(job_id, kJob),
+    DWS_COLUMN(job_tree, kJob),
+    DWS_COLUMN(job_root_seed, kJob),
+    DWS_COLUMN(job_base, kJob),
+    DWS_COLUMN(job_width, kJob),
+    DWS_COLUMN(job_arrival_ms, kJob),
+    DWS_COLUMN(job_admit_ms, kJob),
+    DWS_COLUMN(job_first_compute_ms, kJob),
+    DWS_COLUMN(job_finish_ms, kJob),
+    DWS_COLUMN(job_queue_wait_ms, kJob),
+    DWS_COLUMN(job_sched_latency_ms, kJob),
+    DWS_COLUMN(job_makespan_ms, kJob),
+    DWS_COLUMN(job_nodes, kJob),
+    DWS_COLUMN(job_leaves, kJob),
+    DWS_COLUMN(job_steal_attempts, kJob),
+    DWS_COLUMN(job_successful_steals, kJob),
+    DWS_COLUMN(wall_s, kWall),
+};
+#undef DWS_COLUMN
+
+bool in_csv(Emit emit, bool wall_clock) {
+  return emit != Emit::kRetired && (emit != Emit::kWall || wall_clock);
 }
+
+bool in_jsonl(Emit emit, const SweepRecord& rec, bool wall_clock) {
+  if (rec.is_job_row()) return emit == Emit::kJob || emit == Emit::kBoth;
+  return emit == Emit::kRun || emit == Emit::kBoth ||
+         (emit == Emit::kFailed && !rec.ok) ||
+         (emit == Emit::kWall && wall_clock);
+}
+
+/// One value of `rec`, as a JSON value or as a CSV cell.
+std::string render(const SweepRecord& rec, const Member& member, bool json) {
+  return std::visit(
+      [&](auto field) -> std::string {
+        const auto& v = rec.*field;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return json ? '"' + json_escape(v) + '"' : csv_escape(v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return json ? (v ? "true" : "false") : (v ? "1" : "0");
+        } else if constexpr (std::is_same_v<T, double>) {
+          return fmt_metric(v);
+        } else {
+          return std::to_string(v);
+        }
+      },
+      member);
+}
+
+/// A point's run row: its `common` columns plus the run's metrics.
+SweepRecord run_record(SweepRecord rec, const PointResult& pr) {
+  const ws::RunResult& r = pr.result;
+  rec.error = pr.error;
+  if (pr.ok) {
+    rec.runtime_ms = support::to_millis(r.runtime);
+    rec.speedup = r.speedup();
+    rec.efficiency = r.efficiency();
+    rec.per_node_cost_ns = static_cast<std::uint64_t>(r.per_node_cost);
+  }
+  rec.nodes = r.nodes;
+  rec.leaves = r.leaves;
+  rec.steal_attempts = r.stats.steal_attempts;
+  rec.failed_steals = r.stats.failed_steals;
+  rec.successful_steals = r.stats.successful_steals;
+  rec.sessions = r.stats.sessions;
+  rec.mean_session_ms = r.stats.mean_session_ms;
+  rec.mean_search_ms = r.stats.mean_search_time_s * 1e3;
+  rec.mean_steal_distance = r.stats.mean_steal_distance;
+  rec.net_messages = r.network.messages;
+  rec.net_bytes = r.network.bytes;
+  rec.engine_events = r.engine_events;
+  rec.steal_timeouts = r.stats.steal_timeouts;
+  rec.steal_retries = r.stats.steal_retries;
+  rec.token_regens = r.stats.token_regens;
+  rec.net_drops = r.faults.dropped_messages;
+  rec.net_dups = r.faults.duplicated_messages;
+  rec.row = "run";
+  rec.jobs = r.jobs.size();
+  const metrics::ServiceTails tails = metrics::service_tails(r.jobs);
+  rec.makespan_p50_ms = tails.makespan.p50;
+  rec.makespan_p99_ms = tails.makespan.p99;
+  rec.queue_wait_p50_ms = tails.queue_wait.p50;
+  rec.queue_wait_p99_ms = tails.queue_wait.p99;
+  rec.sched_latency_p50_ms = tails.sched_latency.p50;
+  rec.sched_latency_p99_ms = tails.sched_latency.p99;
+  rec.wall_s = pr.wall_seconds;
+  return rec;
+}
+
+/// One job's row: the point's `common` columns plus the job's own.
+SweepRecord job_record(SweepRecord rec, const metrics::JobOutcome& j) {
+  rec.row = "job";
+  rec.job_id = j.job_id;
+  rec.job_tree = j.tree;
+  rec.job_root_seed = j.root_seed;
+  rec.job_base = j.base;
+  rec.job_width = j.width;
+  rec.job_arrival_ms = support::to_millis(j.arrival);
+  rec.job_admit_ms = support::to_millis(j.admit);
+  rec.job_first_compute_ms = support::to_millis(j.first_compute);
+  rec.job_finish_ms = support::to_millis(j.finish);
+  rec.job_queue_wait_ms = support::to_millis(j.queue_wait());
+  rec.job_sched_latency_ms = support::to_millis(j.sched_latency());
+  rec.job_makespan_ms = support::to_millis(j.makespan());
+  rec.job_nodes = j.nodes;
+  rec.job_leaves = j.leaves;
+  rec.job_steal_attempts = j.steal_attempts;
+  rec.job_successful_steals = j.successful_steals;
+  return rec;
+}
+
+/// One row of `rec`; `coords` is the body of the point's JSONL `coords`
+/// object.
+void write_row(std::ostream& out, const RecordOptions& options,
+               const SweepRecord& rec, const std::string& coords) {
+  const bool json = options.format == RecordFormat::kJsonl;
+  const char* sep = "";
+  if (json) {
+    out << "{\"index\":" << rec.index << ",\"coords\":{" << coords << "}"
+        << (rec.is_job_row() ? ",\"row\":\"job\"" : "");
+    sep = ",";
+  }
+  for (const Column& col : kColumns) {
+    if (json ? !in_jsonl(col.emit, rec, options.wall_clock)
+             : !in_csv(col.emit, options.wall_clock)) {
+      continue;
+    }
+    out << sep;
+    if (json) out << '"' << col.name << "\":";
+    out << render(rec, col.member, json);
+    sep = ",";
+  }
+  out << (json ? "}\n" : "\n");
+}
+
+}  // namespace
+
+RecordWriter::RecordWriter(std::ostream& out, RecordOptions options)
+    : out_(&out), options_(options) {}
 
 void RecordWriter::write_header() {
   if (options_.format == RecordFormat::kJsonl) {
     *out_ << "{\"schema\":\"dws.exp.sweep\",\"version\":"
-          << options_.schema_version << "}\n";
+          << kRecordSchemaVersion << "}\n";
     return;
   }
-  *out_ << "# schema=dws.exp.sweep version=" << options_.schema_version
-        << "\n";
-  *out_ << "index,point,fingerprint,tree,ranks,placement,procs_per_node,"
-           "policy,steal,chunk,sha_rounds,seed,ok,error,runtime_ms,speedup,"
-           "efficiency,nodes,leaves,steal_attempts,failed_steals,"
-           "successful_steals,sessions,mean_session_ms,mean_search_ms,"
-           "mean_steal_distance,net_messages,net_bytes,engine_events";
-  if (options_.schema_version >= 2 && options_.schema_version < 5) {
-    *out_ << ",engine_peak_pending,net_peak_channels";
+  *out_ << "# schema=dws.exp.sweep version=" << kRecordSchemaVersion << "\n";
+  const char* sep = "";
+  for (const Column& col : kColumns) {
+    if (!in_csv(col.emit, options_.wall_clock)) continue;
+    *out_ << sep << col.name;
+    sep = ",";
   }
-  if (options_.schema_version >= 3) {
-    *out_ << ",steal_timeouts,steal_retries,token_regens,net_drops,net_dups";
-  }
-  if (options_.schema_version >= 4) {
-    *out_ << ",backend,per_node_cost_ns";
-  }
-  if (options_.schema_version >= 6) {
-    *out_ << ",row,jobs,makespan_p50_ms,makespan_p99_ms,queue_wait_p50_ms,"
-             "queue_wait_p99_ms,sched_latency_p50_ms,sched_latency_p99_ms,"
-             "job_id,job_tree,job_root_seed,job_base,job_width,"
-             "job_arrival_ms,job_admit_ms,job_first_compute_ms,job_finish_ms,"
-             "job_queue_wait_ms,job_sched_latency_ms,job_makespan_ms,"
-             "job_nodes,job_leaves,job_steal_attempts,job_successful_steals";
-  }
-  if (options_.wall_clock) *out_ << ",wall_s";
   *out_ << "\n";
 }
 
 void RecordWriter::write(const SweepPoint& point, const PointResult& pr) {
   const ws::RunConfig& c = point.config;
-  const ws::RunResult& r = pr.result;
-  const double runtime_ms = pr.ok ? support::to_millis(r.runtime) : 0.0;
-  const double speedup = pr.ok ? r.speedup() : 0.0;
-  const double efficiency = pr.ok ? r.efficiency() : 0.0;
-
-  if (options_.format == RecordFormat::kJsonl) {
-    std::string coords;
-    for (const auto& [axis, value] : point.coords) {
-      if (!coords.empty()) coords += ',';
-      coords += '"' + json_escape(axis) + "\":\"" + json_escape(value) + '"';
-    }
-    *out_ << "{\"index\":" << point.index                                    //
-          << ",\"coords\":{" << coords << "}"                                //
-          << ",\"fingerprint\":\"" << config_fingerprint(c) << "\""          //
-          << ",\"tree\":\"" << json_escape(c.tree.name) << "\""              //
-          << ",\"ranks\":" << c.num_ranks                                    //
-          << ",\"placement\":\"" << topo::to_string(c.placement) << "\""     //
-          << ",\"procs_per_node\":" << c.procs_per_node                      //
-          << ",\"policy\":\"" << ws::to_string(c.ws.victim_policy) << "\""   //
-          << ",\"steal\":\"" << ws::to_string(c.ws.steal_amount) << "\""     //
-          << ",\"chunk\":" << c.ws.chunk_size                                //
-          << ",\"sha_rounds\":" << c.ws.sha_rounds                           //
-          << ",\"seed\":" << c.ws.seed                                       //
-          << ",\"ok\":" << (pr.ok ? "true" : "false");
-    if (!pr.ok) *out_ << ",\"error\":\"" << json_escape(pr.error) << "\"";
-    *out_ << ",\"runtime_ms\":" << fmt_metric(runtime_ms)                    //
-          << ",\"speedup\":" << fmt_metric(speedup)                          //
-          << ",\"efficiency\":" << fmt_metric(efficiency)                    //
-          << ",\"nodes\":" << r.nodes                                        //
-          << ",\"leaves\":" << r.leaves                                      //
-          << ",\"steal_attempts\":" << r.stats.steal_attempts                //
-          << ",\"failed_steals\":" << r.stats.failed_steals                  //
-          << ",\"successful_steals\":" << r.stats.successful_steals          //
-          << ",\"sessions\":" << r.stats.sessions                            //
-          << ",\"mean_session_ms\":" << fmt_metric(r.stats.mean_session_ms)  //
-          << ",\"mean_search_ms\":"
-          << fmt_metric(r.stats.mean_search_time_s * 1e3)  //
-          << ",\"mean_steal_distance\":"
-          << fmt_metric(r.stats.mean_steal_distance)     //
-          << ",\"net_messages\":" << r.network.messages  //
-          << ",\"net_bytes\":" << r.network.bytes        //
-          << ",\"engine_events\":" << r.engine_events;
-    if (options_.schema_version >= 2 && options_.schema_version < 5) {
-      *out_ << ",\"engine_peak_pending\":" << r.engine_peak_pending
-            << ",\"net_peak_channels\":" << r.network.peak_channels;
-    }
-    if (options_.schema_version >= 3) {
-      *out_ << ",\"steal_timeouts\":" << r.stats.steal_timeouts
-            << ",\"steal_retries\":" << r.stats.steal_retries
-            << ",\"token_regens\":" << r.stats.token_regens
-            << ",\"net_drops\":" << r.faults.dropped_messages
-            << ",\"net_dups\":" << r.faults.duplicated_messages;
-    }
-    if (options_.schema_version >= 4) {
-      *out_ << ",\"backend\":\"" << ws::to_string(c.backend) << "\""
-            << ",\"per_node_cost_ns\":"
-            << (pr.ok ? static_cast<std::uint64_t>(r.per_node_cost) : 0);
-    }
-    if (options_.schema_version >= 6) {
-      const metrics::ServiceTails tails = metrics::service_tails(r.jobs);
-      *out_ << ",\"row\":\"run\""                         //
-            << ",\"jobs\":" << r.jobs.size()              //
-            << ",\"makespan_p50_ms\":" << fmt_metric(tails.makespan.p50)
-            << ",\"makespan_p99_ms\":" << fmt_metric(tails.makespan.p99)
-            << ",\"queue_wait_p50_ms\":" << fmt_metric(tails.queue_wait.p50)
-            << ",\"queue_wait_p99_ms\":" << fmt_metric(tails.queue_wait.p99)
-            << ",\"sched_latency_p50_ms\":"
-            << fmt_metric(tails.sched_latency.p50)
-            << ",\"sched_latency_p99_ms\":"
-            << fmt_metric(tails.sched_latency.p99);
-    }
-    if (options_.wall_clock) {
-      *out_ << ",\"wall_s\":" << fmt_metric(pr.wall_seconds);
-    }
-    *out_ << "}\n";
-    if (options_.schema_version >= 6 && pr.ok) {
-      std::string coord_pairs;
-      for (const auto& [axis, value] : point.coords) {
-        if (!coord_pairs.empty()) coord_pairs += ',';
-        coord_pairs +=
-            '"' + json_escape(axis) + "\":\"" + json_escape(value) + '"';
-      }
-      for (const metrics::JobOutcome& j : r.jobs) {
-        *out_ << "{\"index\":" << point.index                            //
-              << ",\"coords\":{" << coord_pairs << "}"                   //
-              << ",\"row\":\"job\""                                     //
-              << ",\"fingerprint\":\"" << config_fingerprint(c) << "\""  //
-              << ",\"job_id\":" << j.job_id                              //
-              << ",\"job_tree\":\"" << json_escape(j.tree) << "\""       //
-              << ",\"job_root_seed\":" << j.root_seed                    //
-              << ",\"job_base\":" << j.base                              //
-              << ",\"job_width\":" << j.width                            //
-              << ",\"job_arrival_ms\":"
-              << fmt_metric(support::to_millis(j.arrival))  //
-              << ",\"job_admit_ms\":"
-              << fmt_metric(support::to_millis(j.admit))  //
-              << ",\"job_first_compute_ms\":"
-              << fmt_metric(support::to_millis(j.first_compute))  //
-              << ",\"job_finish_ms\":"
-              << fmt_metric(support::to_millis(j.finish))  //
-              << ",\"job_queue_wait_ms\":"
-              << fmt_metric(support::to_millis(j.queue_wait()))  //
-              << ",\"job_sched_latency_ms\":"
-              << fmt_metric(support::to_millis(j.sched_latency()))  //
-              << ",\"job_makespan_ms\":"
-              << fmt_metric(support::to_millis(j.makespan()))        //
-              << ",\"job_nodes\":" << j.nodes                        //
-              << ",\"job_leaves\":" << j.leaves                      //
-              << ",\"job_steal_attempts\":" << j.steal_attempts      //
-              << ",\"job_successful_steals\":" << j.successful_steals
-              << "}\n";
-      }
-    }
-    return;
+  SweepRecord common;  // the columns every row of the point repeats
+  common.index = point.index;
+  common.label = point.label();
+  common.fingerprint = config_fingerprint(c);
+  common.tree = c.tree.name;
+  common.ranks = c.num_ranks;
+  common.placement = topo::to_string(c.placement);
+  common.procs_per_node = c.procs_per_node;
+  common.policy = ws::to_string(c.ws.victim_policy);
+  common.steal = ws::to_string(c.ws.steal_amount);
+  common.chunk = c.ws.chunk_size;
+  common.sha_rounds = c.ws.sha_rounds;
+  common.seed = c.ws.seed;
+  common.ok = pr.ok;
+  common.backend = ws::to_string(c.backend);
+  std::string coords;  // the body of the JSONL `coords` object
+  for (const auto& [axis, value] : point.coords) {
+    if (!coords.empty()) coords += ',';
+    coords += '"' + json_escape(axis) + "\":\"" + json_escape(value) + '"';
   }
-
-  *out_ << point.index << ',' << csv_escape(point.label()) << ','
-        << config_fingerprint(c) << ',' << csv_escape(c.tree.name) << ','
-        << c.num_ranks << ',' << topo::to_string(c.placement) << ','
-        << c.procs_per_node << ',' << ws::to_string(c.ws.victim_policy) << ','
-        << ws::to_string(c.ws.steal_amount) << ',' << c.ws.chunk_size << ','
-        << c.ws.sha_rounds << ',' << c.ws.seed << ',' << (pr.ok ? 1 : 0) << ','
-        << csv_escape(pr.error) << ',' << fmt_metric(runtime_ms) << ','
-        << fmt_metric(speedup) << ',' << fmt_metric(efficiency) << ','
-        << r.nodes << ',' << r.leaves << ',' << r.stats.steal_attempts << ','
-        << r.stats.failed_steals << ',' << r.stats.successful_steals << ','
-        << r.stats.sessions << ',' << fmt_metric(r.stats.mean_session_ms)
-        << ',' << fmt_metric(r.stats.mean_search_time_s * 1e3) << ','
-        << fmt_metric(r.stats.mean_steal_distance) << ','
-        << r.network.messages << ',' << r.network.bytes << ','
-        << r.engine_events;
-  if (options_.schema_version >= 2 && options_.schema_version < 5) {
-    *out_ << ',' << r.engine_peak_pending << ',' << r.network.peak_channels;
-  }
-  if (options_.schema_version >= 3) {
-    *out_ << ',' << r.stats.steal_timeouts << ',' << r.stats.steal_retries
-          << ',' << r.stats.token_regens << ',' << r.faults.dropped_messages
-          << ',' << r.faults.duplicated_messages;
-  }
-  if (options_.schema_version >= 4) {
-    *out_ << ',' << ws::to_string(c.backend) << ','
-          << (pr.ok ? static_cast<std::uint64_t>(r.per_node_cost) : 0);
-  }
-  if (options_.schema_version >= 6) {
-    const metrics::ServiceTails tails = metrics::service_tails(r.jobs);
-    *out_ << ",run," << r.jobs.size() << ','
-          << fmt_metric(tails.makespan.p50) << ','
-          << fmt_metric(tails.makespan.p99) << ','
-          << fmt_metric(tails.queue_wait.p50) << ','
-          << fmt_metric(tails.queue_wait.p99) << ','
-          << fmt_metric(tails.sched_latency.p50) << ','
-          << fmt_metric(tails.sched_latency.p99)
-          << ",0,,0,0,0,0,0,0,0,0,0,0,0,0,0,0";
-  }
-  if (options_.wall_clock) *out_ << ',' << fmt_metric(pr.wall_seconds);
-  *out_ << "\n";
-  if (options_.schema_version >= 6 && pr.ok) {
-    for (const metrics::JobOutcome& j : r.jobs) {
-      // Job rows repeat the point's identity columns, zero the run metrics
-      // (28 run-metric cells between `error` and the v6 block) and carry
-      // their own job_* cells.
-      *out_ << point.index << ',' << csv_escape(point.label()) << ','
-            << config_fingerprint(c) << ',' << csv_escape(c.tree.name) << ','
-            << c.num_ranks << ',' << topo::to_string(c.placement) << ','
-            << c.procs_per_node << ',' << ws::to_string(c.ws.victim_policy)
-            << ',' << ws::to_string(c.ws.steal_amount) << ','
-            << c.ws.chunk_size << ',' << c.ws.sha_rounds << ',' << c.ws.seed
-            << ",1,,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0";
-      if (options_.schema_version >= 3) *out_ << ",0,0,0,0,0";
-      *out_ << ',' << ws::to_string(c.backend) << ",0"  //
-            << ",job,0,0,0,0,0,0,0"                      //
-            << ',' << j.job_id << ',' << csv_escape(j.tree) << ','
-            << j.root_seed << ',' << j.base << ',' << j.width << ','
-            << fmt_metric(support::to_millis(j.arrival)) << ','
-            << fmt_metric(support::to_millis(j.admit)) << ','
-            << fmt_metric(support::to_millis(j.first_compute)) << ','
-            << fmt_metric(support::to_millis(j.finish)) << ','
-            << fmt_metric(support::to_millis(j.queue_wait())) << ','
-            << fmt_metric(support::to_millis(j.sched_latency())) << ','
-            << fmt_metric(support::to_millis(j.makespan())) << ','
-            << j.nodes << ',' << j.leaves << ',' << j.steal_attempts << ','
-            << j.successful_steals;
-      if (options_.wall_clock) *out_ << ",0";
-      *out_ << "\n";
-    }
+  write_row(*out_, options_, run_record(common, pr), coords);
+  if (!pr.ok) return;
+  for (const metrics::JobOutcome& j : pr.result.jobs) {
+    write_row(*out_, options_, job_record(common, j), coords);
   }
 }
 
@@ -519,80 +557,30 @@ namespace {
 std::uint64_t to_u64(std::string_view v) {
   return std::strtoull(std::string(v).c_str(), nullptr, 10);
 }
-double to_f64(std::string_view v) {
-  return std::strtod(std::string(v).c_str(), nullptr);
-}
 
-/// Assigns one already-unescaped (key, value) pair into a record. Shared by
-/// both wire formats; unknown keys are skipped so a v(N+1) file still loads
-/// the fields this build knows about.
-void assign_field(SweepRecord& r, std::string_view key, std::string_view v) {
-  if (key == "index") r.index = to_u64(v);
-  else if (key == "point") r.label = std::string(v);
-  else if (key == "fingerprint") r.fingerprint = std::string(v);
-  else if (key == "tree") r.tree = std::string(v);
-  else if (key == "ranks") r.ranks = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "placement") r.placement = std::string(v);
-  else if (key == "procs_per_node") r.procs_per_node = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "policy") r.policy = std::string(v);
-  else if (key == "steal") r.steal = std::string(v);
-  else if (key == "chunk") r.chunk = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "sha_rounds") r.sha_rounds = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "seed") r.seed = to_u64(v);
-  else if (key == "ok") r.ok = (v == "true" || v == "1");
-  else if (key == "error") r.error = std::string(v);
-  else if (key == "runtime_ms") r.runtime_ms = to_f64(v);
-  else if (key == "speedup") r.speedup = to_f64(v);
-  else if (key == "efficiency") r.efficiency = to_f64(v);
-  else if (key == "nodes") r.nodes = to_u64(v);
-  else if (key == "leaves") r.leaves = to_u64(v);
-  else if (key == "steal_attempts") r.steal_attempts = to_u64(v);
-  else if (key == "failed_steals") r.failed_steals = to_u64(v);
-  else if (key == "successful_steals") r.successful_steals = to_u64(v);
-  else if (key == "sessions") r.sessions = to_u64(v);
-  else if (key == "mean_session_ms") r.mean_session_ms = to_f64(v);
-  else if (key == "mean_search_ms") r.mean_search_ms = to_f64(v);
-  else if (key == "mean_steal_distance") r.mean_steal_distance = to_f64(v);
-  else if (key == "net_messages") r.net_messages = to_u64(v);
-  else if (key == "net_bytes") r.net_bytes = to_u64(v);
-  else if (key == "engine_events") r.engine_events = to_u64(v);
-  else if (key == "engine_peak_pending") r.engine_peak_pending = to_u64(v);
-  else if (key == "net_peak_channels") r.net_peak_channels = to_u64(v);
-  else if (key == "steal_timeouts") r.steal_timeouts = to_u64(v);
-  else if (key == "steal_retries") r.steal_retries = to_u64(v);
-  else if (key == "token_regens") r.token_regens = to_u64(v);
-  else if (key == "net_drops") r.net_drops = to_u64(v);
-  else if (key == "net_dups") r.net_dups = to_u64(v);
-  else if (key == "backend") r.backend = std::string(v);
-  else if (key == "per_node_cost_ns") r.per_node_cost_ns = to_u64(v);
-  else if (key == "row") r.row = std::string(v);
-  else if (key == "jobs") r.jobs = to_u64(v);
-  else if (key == "makespan_p50_ms") r.makespan_p50_ms = to_f64(v);
-  else if (key == "makespan_p99_ms") r.makespan_p99_ms = to_f64(v);
-  else if (key == "queue_wait_p50_ms") r.queue_wait_p50_ms = to_f64(v);
-  else if (key == "queue_wait_p99_ms") r.queue_wait_p99_ms = to_f64(v);
-  else if (key == "sched_latency_p50_ms") r.sched_latency_p50_ms = to_f64(v);
-  else if (key == "sched_latency_p99_ms") r.sched_latency_p99_ms = to_f64(v);
-  else if (key == "job_id") r.job_id = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "job_tree") r.job_tree = std::string(v);
-  else if (key == "job_root_seed") r.job_root_seed = to_u64(v);
-  else if (key == "job_base") r.job_base = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "job_width") r.job_width = static_cast<std::uint32_t>(to_u64(v));
-  else if (key == "job_arrival_ms") r.job_arrival_ms = to_f64(v);
-  else if (key == "job_admit_ms") r.job_admit_ms = to_f64(v);
-  else if (key == "job_first_compute_ms") r.job_first_compute_ms = to_f64(v);
-  else if (key == "job_finish_ms") r.job_finish_ms = to_f64(v);
-  else if (key == "job_queue_wait_ms") r.job_queue_wait_ms = to_f64(v);
-  else if (key == "job_sched_latency_ms") r.job_sched_latency_ms = to_f64(v);
-  else if (key == "job_makespan_ms") r.job_makespan_ms = to_f64(v);
-  else if (key == "job_nodes") r.job_nodes = to_u64(v);
-  else if (key == "job_leaves") r.job_leaves = to_u64(v);
-  else if (key == "job_steal_attempts") r.job_steal_attempts = to_u64(v);
-  else if (key == "job_successful_steals") r.job_successful_steals = to_u64(v);
-  else if (key == "wall_s") {
-    r.has_wall_s = true;
-    r.wall_s = to_f64(v);
-  }
+/// Assigns one already-unescaped value into a record. Shared by both wire
+/// formats; unknown keys are skipped so a v(N+1) file still loads the
+/// fields this build knows about.
+void assign_field(SweepRecord& rec, std::string_view key, std::string_view v) {
+  const auto col = std::find_if(kColumns.begin(), kColumns.end(),
+                                [&](const Column& c) { return c.name == key; });
+  if (col == kColumns.end()) return;
+  std::visit(
+      [&](auto field) {
+        auto& dst = rec.*field;
+        using T = std::decay_t<decltype(dst)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          dst = std::string(v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          dst = (v == "true" || v == "1");
+        } else if constexpr (std::is_same_v<T, double>) {
+          dst = std::strtod(std::string(v).c_str(), nullptr);
+        } else {
+          dst = static_cast<T>(to_u64(v));
+        }
+      },
+      col->member);
+  if (col->emit == Emit::kWall) rec.has_wall_s = true;
 }
 
 /// Minimal scanner for the flat JSON objects RecordWriter emits: string,
@@ -657,8 +645,11 @@ class JsonCursor {
         case 't': out += '\t'; break;
         case 'u': {
           if (i_ + 4 > s_.size()) return false;
-          const auto code = std::strtoul(
-              std::string(s_.substr(i_, 4)).c_str(), nullptr, 16);
+          const char* hex = s_.data() + i_;
+          unsigned code = 0;
+          if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            return false;  // not four hex digits
+          }
           i_ += 4;
           out += static_cast<char>(code);  // writer only emits < 0x20
           break;
@@ -694,35 +685,32 @@ class JsonCursor {
   std::size_t i_ = 0;
 };
 
-/// Splits one CSV row with the writer's quoting rules ("" escapes a quote).
-std::vector<std::string> split_csv_row(std::string_view line) {
-  std::vector<std::string> cells;
+/// Reads one CSV row into `cells` with the writer's quoting rules: "" is a
+/// quote inside a quoted cell, and a quoted cell may span lines (an audit
+/// summary in `error` does). Leaves `cells` empty at end of input.
+support::Status read_csv_row(std::istream& in,
+                             std::vector<std::string>& cells) {
+  cells.clear();
   std::string cell;
   bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += c;
-      }
+  for (int c = in.get(); c != EOF; c = in.get()) {
+    if (c == '"' && quoted && in.peek() == '"') {
+      cell += static_cast<char>(in.get());
     } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
+      quoted = !quoted;
+    } else if (!quoted && (c == ',' || c == '\n')) {
       cells.push_back(std::move(cell));
       cell.clear();
+      if (c == '\n') return support::Status::ok();
     } else {
-      cell += c;
+      cell += static_cast<char>(c);
     }
   }
-  cells.push_back(std::move(cell));
-  return cells;
+  if (quoted) {
+    return support::Status::error("record parse: unterminated quoted CSV cell");
+  }
+  if (!cell.empty() || !cells.empty()) cells.push_back(std::move(cell));
+  return support::Status::ok();
 }
 
 support::Status parse_version(std::string_view line, std::string_view prefix,
@@ -746,27 +734,28 @@ support::Status parse_version(std::string_view line, std::string_view prefix,
 }  // namespace
 
 support::Expected<RecordFile> read_records(std::istream& in) {
+  using Result = support::Expected<RecordFile>;
   std::string line;
   if (!std::getline(in, line)) {
-    return support::Expected<RecordFile>::failure("record parse: empty input");
+    return Result::failure("record parse: empty input");
   }
 
   RecordFile file;
   if (!line.empty() && line[0] == '{') {
     file.format = RecordFormat::kJsonl;
     if (line.find("\"schema\":\"dws.exp.sweep\"") == std::string::npos) {
-      return support::Expected<RecordFile>::failure(
+      return Result::failure(
           "record parse: first line is not a dws.exp.sweep meta line");
     }
     if (const auto st = parse_version(line, "\"version\":", file.version);
         !st) {
-      return support::Expected<RecordFile>::failure(st);
+      return Result::failure(st);
     }
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       SweepRecord rec;
       if (const auto st = JsonCursor(line).parse_into(rec); !st) {
-        return support::Expected<RecordFile>::failure(st);
+        return Result::failure(st);
       }
       file.records.push_back(std::move(rec));
     }
@@ -774,26 +763,32 @@ support::Expected<RecordFile> read_records(std::istream& in) {
   }
 
   if (line.rfind("# schema=dws.exp.sweep", 0) != 0) {
-    return support::Expected<RecordFile>::failure(
+    return Result::failure(
         "record parse: first line is neither a JSONL meta line nor a CSV "
         "schema comment");
   }
   file.format = RecordFormat::kCsv;
   if (const auto st = parse_version(line, "version=", file.version); !st) {
-    return support::Expected<RecordFile>::failure(st);
+    return Result::failure(st);
   }
-  if (!std::getline(in, line)) {
-    return support::Expected<RecordFile>::failure(
-        "record parse: missing CSV header row");
+  std::vector<std::string> columns, cells;
+  if (const auto st = read_csv_row(in, columns); !st) {
+    return Result::failure(st);
   }
-  const std::vector<std::string> columns = split_csv_row(line);
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split_csv_row(line);
+  if (columns.empty()) {
+    return Result::failure("record parse: missing CSV header row");
+  }
+  while (true) {
+    if (const auto st = read_csv_row(in, cells); !st) {
+      return Result::failure(st);
+    }
+    if (cells.empty()) return file;
+    if (cells.size() == 1 && cells[0].empty()) continue;  // blank line
     if (cells.size() != columns.size()) {
-      return support::Expected<RecordFile>::failure(
-          "record parse: row has " + std::to_string(cells.size()) +
-          " cells, header has " + std::to_string(columns.size()));
+      return Result::failure("record parse: row has " +
+                             std::to_string(cells.size()) +
+                             " cells, header has " +
+                             std::to_string(columns.size()));
     }
     SweepRecord rec;
     for (std::size_t i = 0; i < columns.size(); ++i) {
@@ -801,7 +796,6 @@ support::Expected<RecordFile> read_records(std::istream& in) {
     }
     file.records.push_back(std::move(rec));
   }
-  return file;
 }
 
 }  // namespace dws::exp

@@ -15,8 +15,8 @@
 /// End-to-end tests of the steal protocol under injected faults
 /// (DESIGN.md §10): fixed-seed replay is byte-identical, every recovery
 /// path (steal timeout/retry, duplicate discard, token regeneration)
-/// terminates with exact work conservation, and the v3 record schema
-/// round-trips the new counters.
+/// terminates with exact work conservation, and the records round-trip the
+/// fault counters.
 namespace dws::fault {
 namespace {
 
@@ -38,7 +38,7 @@ ws::RunConfig faulted_base() {
   return cfg;
 }
 
-std::string run_jsonl(const ws::RunConfig& cfg, int schema_version) {
+std::string run_jsonl(const ws::RunConfig& cfg) {
   exp::SweepSpec spec(cfg);
   spec.axis(exp::ranks_axis({cfg.num_ranks}));
   const auto expanded = spec.expand();
@@ -49,17 +49,16 @@ std::string run_jsonl(const ws::RunConfig& cfg, int schema_version) {
   const exp::SweepReport report = exp::SweepRunner(options).run(expanded.value());
   EXPECT_TRUE(report.all_ok());
   std::ostringstream out;
-  exp::RecordOptions rec{exp::RecordFormat::kJsonl, /*wall_clock=*/false};
-  rec.schema_version = schema_version;
-  exp::RecordWriter writer(out, rec);
+  exp::RecordWriter writer(
+      out, exp::RecordOptions{exp::RecordFormat::kJsonl, /*wall_clock=*/false});
   writer.write_report(expanded.value(), report);
   return out.str();
 }
 
 TEST(FaultedRun, FixedSeedReplayIsByteIdentical) {
   const ws::RunConfig cfg = faulted_base();
-  const std::string first = run_jsonl(cfg, exp::kRecordSchemaVersion);
-  const std::string second = run_jsonl(cfg, exp::kRecordSchemaVersion);
+  const std::string first = run_jsonl(cfg);
+  const std::string second = run_jsonl(cfg);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 }
@@ -208,10 +207,10 @@ TEST(RecordSchema, V3RoundTripsTheFaultCounters) {
   ASSERT_GT(result.faults.dropped_messages + result.faults.duplicated_messages,
             0u);
 
-  std::istringstream in(run_jsonl(cfg, 3));
+  std::istringstream in(run_jsonl(cfg));
   const auto file = exp::read_records(in);
   ASSERT_TRUE(file) << file.error();
-  EXPECT_EQ(file.value().version, 3);
+  EXPECT_EQ(file.value().version, exp::kRecordSchemaVersion);
   ASSERT_EQ(file.value().records.size(), 1u);
   const exp::SweepRecord& rec = file.value().records.front();
   EXPECT_EQ(rec.steal_timeouts, result.stats.steal_timeouts);
@@ -219,19 +218,6 @@ TEST(RecordSchema, V3RoundTripsTheFaultCounters) {
   EXPECT_EQ(rec.token_regens, result.stats.token_regens);
   EXPECT_EQ(rec.net_drops, result.faults.dropped_messages);
   EXPECT_EQ(rec.net_dups, result.faults.duplicated_messages);
-}
-
-TEST(RecordSchema, V2EmissionStaysReadableWithoutTheV3Fields) {
-  std::istringstream in(run_jsonl(faulted_base(), 2));
-  const auto file = exp::read_records(in);
-  ASSERT_TRUE(file) << file.error();
-  EXPECT_EQ(file.value().version, 2);
-  ASSERT_EQ(file.value().records.size(), 1u);
-  const exp::SweepRecord& rec = file.value().records.front();
-  EXPECT_EQ(rec.steal_timeouts, 0u);  // v2 predates the counters
-  EXPECT_EQ(rec.net_drops, 0u);
-  EXPECT_EQ(rec.net_dups, 0u);
-  EXPECT_GT(rec.ranks, 0u);  // but the v2 payload itself parsed
 }
 
 }  // namespace
