@@ -4,7 +4,6 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <span>
@@ -554,33 +553,42 @@ void RecordWriter::write_report(const std::vector<SweepPoint>& points,
 
 namespace {
 
-std::uint64_t to_u64(std::string_view v) {
-  return std::strtoull(std::string(v).c_str(), nullptr, 10);
-}
-
 /// Assigns one already-unescaped value into a record. Shared by both wire
 /// formats; unknown keys are skipped so a v(N+1) file still loads the
-/// fields this build knows about.
-void assign_field(SweepRecord& rec, std::string_view key, std::string_view v) {
+/// fields this build knows about. A number must fill the whole cell and fit
+/// its member, and a bool must read true/false/1/0; anything else is an
+/// error naming the column.
+support::Status assign_field(SweepRecord& rec, std::string_view key,
+                             std::string_view v) {
   const auto col = std::find_if(kColumns.begin(), kColumns.end(),
                                 [&](const Column& c) { return c.name == key; });
-  if (col == kColumns.end()) return;
-  std::visit(
+  if (col == kColumns.end()) return support::Status::ok();
+  const bool parsed = std::visit(
       [&](auto field) {
         auto& dst = rec.*field;
         using T = std::decay_t<decltype(dst)>;
         if constexpr (std::is_same_v<T, std::string>) {
           dst = std::string(v);
+          return true;
         } else if constexpr (std::is_same_v<T, bool>) {
           dst = (v == "true" || v == "1");
-        } else if constexpr (std::is_same_v<T, double>) {
-          dst = std::strtod(std::string(v).c_str(), nullptr);
+          return dst || v == "false" || v == "0";
         } else {
-          dst = static_cast<T>(to_u64(v));
+          // Integers in base 10, doubles in the general format (which
+          // includes inf and nan); out-of-range values fail.
+          const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(),
+                                                 dst);
+          return ec == std::errc{} && end == v.data() + v.size();
         }
       },
       col->member);
+  if (!parsed) {
+    return support::Status::error("record parse: bad value '" +
+                                  std::string(v) + "' for " +
+                                  std::string(col->name));
+  }
   if (col->emit == Emit::kWall) rec.has_wall_s = true;
+  return support::Status::ok();
 }
 
 /// Minimal scanner for the flat JSON objects RecordWriter emits: string,
@@ -603,9 +611,9 @@ class JsonCursor {
       } else if (peek() == '"') {
         std::string value;
         if (!parse_string(value)) return err("bad string value");
-        assign_field(rec, key, value);
+        if (auto st = assign_field(rec, key, value); !st) return st;
       } else {
-        assign_field(rec, key, scan_token());
+        if (auto st = assign_field(rec, key, scan_token()); !st) return st;
       }
       if (eat(',')) continue;
       if (eat('}')) return support::Status::ok();
@@ -720,7 +728,13 @@ support::Status parse_version(std::string_view line, std::string_view prefix,
     return support::Status::error(
         "record parse: missing schema/version in header line");
   }
-  version = static_cast<int>(to_u64(line.substr(pos + prefix.size())));
+  // The number ends the field; whatever follows it (`}` or end of line) is
+  // the rest of the header line.
+  const std::string_view digits = line.substr(pos + prefix.size());
+  if (std::from_chars(digits.data(), digits.data() + digits.size(), version)
+          .ec != std::errc{}) {
+    version = 0;  // reported as unsupported below
+  }
   if (version < kRecordMinSchemaVersion || version > kRecordSchemaVersion) {
     return support::Status::error(
         "record parse: unsupported schema version " +
@@ -792,7 +806,9 @@ support::Expected<RecordFile> read_records(std::istream& in) {
     }
     SweepRecord rec;
     for (std::size_t i = 0; i < columns.size(); ++i) {
-      assign_field(rec, columns[i], cells[i]);
+      if (const auto st = assign_field(rec, columns[i], cells[i]); !st) {
+        return Result::failure(st);
+      }
     }
     file.records.push_back(std::move(rec));
   }

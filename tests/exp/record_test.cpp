@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
@@ -736,6 +737,35 @@ TEST(RecordReader, RejectsUnsupportedVersionsAndGarbage) {
     const auto file = read_records(in);
     ASSERT_FALSE(file.has_value());
     EXPECT_NE(file.error().find("unterminated"), std::string::npos);
+  }
+  // A numeric cell must be one whole number that fits its member: trailing
+  // junk, a value past uint32_t and a word are errors in both formats, as
+  // is a bool that is not true/false/1/0.
+  const std::pair<std::string, std::string> bad_cells[] = {
+      {"nodes", "12abc"},
+      {"ranks", "4294967297"},
+      {"runtime_ms", "fast"},
+      {"ok", "yes"}};
+  for (const auto& [column, cell] : bad_cells) {
+    {
+      std::istringstream in("{\"schema\":\"dws.exp.sweep\",\"version\":6}\n"
+                            "{\"index\":0,\"" +
+                            column + "\":" + cell + "}\n");
+      const auto file = read_records(in);
+      ASSERT_FALSE(file.has_value()) << column << "=" << cell;
+      EXPECT_NE(file.error().find("bad value '" + cell + "' for " + column),
+                std::string::npos)
+          << file.error();
+    }
+    {
+      std::istringstream in("# schema=dws.exp.sweep version=6\nindex," +
+                            column + "\n0," + cell + "\n");
+      const auto file = read_records(in);
+      ASSERT_FALSE(file.has_value()) << column << "=" << cell;
+      EXPECT_NE(file.error().find("bad value '" + cell + "' for " + column),
+                std::string::npos)
+          << file.error();
+    }
   }
 }
 
