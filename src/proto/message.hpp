@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -20,6 +21,25 @@ namespace dws::proto {
 /// steal a single chunk of nodes instead of a single node").
 using Chunk = std::vector<uts::TreeNode>;
 
+/// Stolen chunks in transit, as the message carries them: a handle into the
+/// run's PayloadStore (payload_store.hpp), where the victim parked the
+/// chunks, plus their counts inline. `chunks == 0` is an empty batch (a
+/// refusal) that parks nothing.
+///
+/// Ownership rule: exactly one delivery takes the payload — the copy the
+/// receiver accepts (an answer to its current or to an abandoned request,
+/// or a lifeline push). A network duplicate of a batch shares its handle
+/// and reads only the inline counts, so it never touches the store. This
+/// keeps every Message trivially copyable: a refusal, which is nearly all
+/// of a messaging-bound run's traffic, travels as plain bytes.
+struct ChunkBatch {
+  std::uint32_t handle = 0;
+  std::uint32_t chunks = 0;
+  std::uint64_t nodes = 0;
+
+  bool empty() const noexcept { return chunks == 0; }
+};
+
 /// Thief -> victim: ask for work. `request_id` is a per-thief monotonic
 /// counter (starting at 1) echoed by the response; it lets the thief match
 /// late answers to timed-out requests and discard network duplicates, and
@@ -37,7 +57,7 @@ struct StealRequest {
 /// Victim -> thief: the answer. Empty `chunks` is a refusal (a failed steal
 /// in the paper's statistics).
 struct StealResponse {
-  std::vector<Chunk> chunks;
+  ChunkBatch chunks;
   std::uint32_t request_id = 0;
 };
 
@@ -67,10 +87,14 @@ struct LifelineRegister {
 
 /// Lifeline buddy -> dormant thief: unsolicited work delivery.
 struct LifelinePush {
-  std::vector<Chunk> chunks;
+  ChunkBatch chunks;
 };
 
 using Message = std::variant<StealRequest, StealResponse, Token, Terminate,
                              LifelineRegister, LifelinePush>;
+
+// Every hop (send, fault duplicate, in-flight slab, shard mailbox, inbox,
+// rt channel) copies the message as plain bytes; payloads stay parked.
+static_assert(std::is_trivially_copyable_v<Message>);
 
 }  // namespace dws::proto

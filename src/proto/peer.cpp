@@ -17,6 +17,7 @@ Peer::Peer(const WsConfig& config, const Params& params,
       lossy_transport_(params.lossy_transport),
       config_(config),
       latency_(latency),
+      payloads_(params.payloads),
       transport_(transport),
       observer_(observer),
       stack_(config.chunk_size),
@@ -24,6 +25,7 @@ Peer::Peer(const WsConfig& config, const Params& params,
                     ? make_selector(config, params.rank, *latency)
                     : nullptr),
       trace_(metrics::Phase::kIdle, 0) {
+  DWS_CHECK(num_ranks_ == 1 || payloads_ != nullptr);
   steal_half_pref_ = config_.steal_amount == StealAmount::kHalf;
   if (config_.idle_policy == IdlePolicy::kLifeline) {
     // Lifeline graph: hypercube buddies (Saraswat et al.) — rank ^ 2^k for
@@ -49,20 +51,20 @@ void Peer::seed_root(const uts::TreeNode& root) {
   transport_.activated();
 }
 
-void Peer::on_message(Message msg, support::SimTime now) {
+void Peer::on_message(const Message& msg, support::SimTime now) {
   std::visit(
-      [this, now](auto&& m) {
+      [this, now](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, StealRequest>) {
           on_steal_request(m, now, 0);
         } else if constexpr (std::is_same_v<T, StealResponse>) {
-          handle_steal_response(std::move(m), now);
+          handle_steal_response(m, now);
         } else if constexpr (std::is_same_v<T, Token>) {
           handle_token(m, now);
         } else if constexpr (std::is_same_v<T, LifelineRegister>) {
           handle_lifeline_register(m);
         } else if constexpr (std::is_same_v<T, LifelinePush>) {
-          receive_pushed_work(std::move(m.chunks), now);
+          receive_pushed_work(m.chunks, now);
         } else {
           static_assert(std::is_same_v<T, Terminate>);
           // A rank with local work can never observe global termination —
@@ -72,7 +74,7 @@ void Peer::on_message(Message msg, support::SimTime now) {
           finish(now);
         }
       },
-      std::move(msg));
+      msg);
 }
 
 void Peer::on_steal_request(const StealRequest& req, support::SimTime now,
@@ -100,18 +102,8 @@ void Peer::on_steal_request(const StealRequest& req, support::SimTime now,
 
   StealResponse resp;
   resp.request_id = req.request_id;
-  std::uint32_t bytes = config_.response_header_bytes;
-  std::uint64_t nodes_sent = 0;
-  if (k > 0) {
-    resp.chunks = stack_.steal(k);
-    stats_.chunks_sent += k;
-    for (const auto& chunk : resp.chunks) {
-      nodes_sent += chunk.size();
-      bytes += static_cast<std::uint32_t>(chunk.size()) * config_.node_bytes;
-    }
-    black_ = true;  // rule (1): shipping work blackens the victim
-    ++work_msgs_sent_;
-  }
+  if (k > 0) resp.chunks = ship(stack_.steal(k));
+  const std::uint32_t bytes = wire_bytes(resp.chunks);
 
   const topo::Rank thief = req.thief;
   // Refusals are recoverable (the thief's timeout re-drives the steal), so
@@ -120,18 +112,20 @@ void Peer::on_steal_request(const StealRequest& req, support::SimTime now,
   const fault::MsgClass cls =
       k > 0 ? fault::MsgClass::kDupOnly : fault::MsgClass::kDroppable;
   if (observer_) {
-    observer_->on_steal_response_sent(rank_, thief, k, nodes_sent, bytes);
+    observer_->on_steal_response_sent(rank_, thief, k, resp.chunks.nodes,
+                                      bytes);
   }
   if (send_delay == 0) {
-    transport_.send(thief, std::move(resp), bytes, cls);
+    transport_.send(thief, resp, bytes, cls);
   } else {
     // Packaging happens at a poll boundary; the response leaves once this
     // and the previously drained requests have been serviced.
-    transport_.send_deferred(send_delay, thief, std::move(resp), bytes, cls);
+    transport_.send_deferred(send_delay, thief, resp, bytes, cls);
   }
 }
 
-void Peer::handle_steal_response(StealResponse resp, support::SimTime now) {
+void Peer::handle_steal_response(const StealResponse& resp,
+                                 support::SimTime now) {
   // Normally responses find us idle and waiting, but under kLifeline a push
   // can reactivate us while a steal request is still in flight, so the
   // response may also land mid-expansion (via the binding's inbox). Under
@@ -149,15 +143,15 @@ void Peer::handle_steal_response(StealResponse resp, support::SimTime now) {
         abandoned_requests_.begin(), abandoned_requests_.end(),
         [&](const AbandonedRequest& a) { return a.id == resp.request_id; });
     if (it == abandoned_requests_.end()) {
-      // Network duplicate of an already-consumed response. Its chunks (if
-      // any) are copies of work already installed, so discarding conserves.
+      // Network duplicate of an already-consumed response. Its batch (if
+      // any) shares the handle of work already installed: read the counts,
+      // never the store, so discarding conserves.
       DWS_CHECK(lossy_transport_ &&
                 "steal response without an outstanding request");
-      std::uint64_t nodes = 0;
-      for (const auto& chunk : resp.chunks) nodes += chunk.size();
       ++stats_.duplicate_responses;
       if (observer_) {
-        observer_->on_duplicate_response(rank_, resp.chunks.size(), nodes);
+        observer_->on_duplicate_response(rank_, resp.chunks.chunks,
+                                         resp.chunks.nodes);
       }
       return;
     }
@@ -165,10 +159,9 @@ void Peer::handle_steal_response(StealResponse resp, support::SimTime now) {
     abandoned_requests_.erase(it);
   }
 
-  std::uint64_t nodes_received = 0;
-  for (const auto& chunk : resp.chunks) nodes_received += chunk.size();
+  const std::uint64_t nodes_received = resp.chunks.nodes;
   if (observer_) {
-    observer_->on_steal_response_received(rank_, victim, resp.chunks.size(),
+    observer_->on_steal_response_received(rank_, victim, resp.chunks.chunks,
                                           nodes_received);
   }
   // Feedback only for the current request: a late answer to an abandoned
@@ -194,11 +187,12 @@ void Peer::handle_steal_response(StealResponse resp, support::SimTime now) {
 
   // A late answer to an abandoned request still carries real work — the
   // victim gave those nodes away; bank them exactly like a current answer.
+  // This is the one accepted copy, so it takes the payload.
   ++work_msgs_recv_;
   ++stats_.successful_steals;
-  stats_.chunks_received += resp.chunks.size();
+  stats_.chunks_received += resp.chunks.chunks;
   stats_.steal_distance_sum += latency_->euclidean(rank_, victim);
-  stack_.install(std::move(resp.chunks));
+  stack_.install(payloads_->take(resp.chunks));
   if (state_ != State::kIdle) return;  // already active: just keep the work
 
   // Work-discovery session ends with work in the queue.
@@ -246,24 +240,14 @@ void Peer::handle_lifeline_register(const LifelineRegister& reg) {
   if (stack_.stealable_chunks() > 0) {
     const bool steal_half = config_.steal_amount == StealAmount::kHalf;
     const std::size_t k = stack_.chunks_for_steal(steal_half);
-    LifelinePush push;
-    push.chunks = stack_.steal(k);
-    std::uint32_t bytes = config_.response_header_bytes;
-    std::uint64_t nodes_sent = 0;
-    for (const auto& chunk : push.chunks) {
-      nodes_sent += chunk.size();
-      bytes += static_cast<std::uint32_t>(chunk.size()) * config_.node_bytes;
-    }
-    stats_.chunks_sent += k;
+    const LifelinePush push{ship(stack_.steal(k))};
+    const std::uint32_t bytes = wire_bytes(push.chunks);
     ++stats_.lifeline_pushes;
-    black_ = true;
-    ++work_msgs_sent_;
     if (observer_) {
-      observer_->on_lifeline_push_sent(rank_, reg.dependent, k, nodes_sent,
-                                       bytes);
+      observer_->on_lifeline_push_sent(rank_, reg.dependent, k,
+                                       push.chunks.nodes, bytes);
     }
-    transport_.send(reg.dependent, std::move(push), bytes,
-                    fault::MsgClass::kReliable);
+    transport_.send(reg.dependent, push, bytes, fault::MsgClass::kReliable);
     return;
   }
   for (const topo::Rank r : registered_dependents_) {
@@ -272,17 +256,15 @@ void Peer::handle_lifeline_register(const LifelineRegister& reg) {
   registered_dependents_.push_back(reg.dependent);
 }
 
-void Peer::receive_pushed_work(std::vector<Chunk> chunks,
+void Peer::receive_pushed_work(const ChunkBatch& batch,
                                support::SimTime now) {
-  DWS_CHECK(!chunks.empty());
+  DWS_CHECK(!batch.empty());
   ++work_msgs_recv_;
-  stats_.chunks_received += chunks.size();
+  stats_.chunks_received += batch.chunks;
   if (observer_) {
-    std::uint64_t nodes_received = 0;
-    for (const auto& chunk : chunks) nodes_received += chunk.size();
-    observer_->on_lifeline_push_received(rank_, chunks.size(), nodes_received);
+    observer_->on_lifeline_push_received(rank_, batch.chunks, batch.nodes);
   }
-  stack_.install(std::move(chunks));
+  stack_.install(payloads_->take(batch));
   if (state_ != State::kIdle) return;  // already busy: surplus joins the stack
 
   dormant_ = false;
@@ -432,26 +414,26 @@ void Peer::relinquish(topo::Rank target, support::SimTime now) {
   DWS_CHECK(parked_);
   DWS_CHECK(target != rank_);
   DWS_CHECK(!stack_.empty());
-  LifelinePush push;
-  push.chunks = stack_.take_all();
-  const std::size_t k = push.chunks.size();
-  std::uint32_t bytes = config_.response_header_bytes;
-  std::uint64_t nodes_sent = 0;
-  for (const auto& chunk : push.chunks) {
-    nodes_sent += chunk.size();
-    bytes += static_cast<std::uint32_t>(chunk.size()) * config_.node_bytes;
-  }
-  stats_.chunks_sent += k;
+  const LifelinePush push{ship(stack_.take_all())};
+  const std::uint32_t bytes = wire_bytes(push.chunks);
   ++stats_.lifeline_pushes;
-  black_ = true;  // rule (1): shipping work blackens the sender
-  ++work_msgs_sent_;
   if (observer_) {
-    observer_->on_lifeline_push_sent(rank_, target, k, nodes_sent, bytes);
+    observer_->on_lifeline_push_sent(rank_, target, push.chunks.chunks,
+                                     push.chunks.nodes, bytes);
   }
-  transport_.send(target, std::move(push), bytes, fault::MsgClass::kReliable);
+  transport_.send(target, push, bytes, fault::MsgClass::kReliable);
   // The stack is empty now; fall back to idle. Token duties (forwarding a
   // held token, rank 0's relaunch) still run; try_steal stays suppressed.
   on_out_of_work(now);
+}
+
+ChunkBatch Peer::ship(std::vector<Chunk> chunks) {
+  const ChunkBatch batch = payloads_->park(std::move(chunks));
+  DWS_CHECK(!batch.empty());
+  stats_.chunks_sent += batch.chunks;
+  black_ = true;  // rule (1): shipping work blackens the sender
+  ++work_msgs_sent_;
+  return batch;
 }
 
 void Peer::try_steal(support::SimTime now) {

@@ -9,6 +9,7 @@
 #include "proto/chunk_stack.hpp"
 #include "proto/config.hpp"
 #include "proto/message.hpp"
+#include "proto/payload_store.hpp"
 #include "proto/transport.hpp"
 #include "proto/victim.hpp"
 #include "topo/latency.hpp"
@@ -75,6 +76,9 @@ class Peer final {
     /// request filter and permits duplicate responses; with a reliable
     /// transport an unmatched response is a protocol bug and aborts.
     bool lossy_transport = false;
+    /// The run's store for chunks in transit, shared by every peer of the
+    /// run. Required whenever num_ranks > 1.
+    PayloadStore* payloads = nullptr;
   };
 
   /// `latency` may be null only for single-rank runs (no victims to pick,
@@ -92,7 +96,7 @@ class Peer final {
   void on_out_of_work(support::SimTime now);
   /// Inbound message dispatch. Steal requests are served with zero
   /// packaging delay; use on_steal_request directly to charge one.
-  void on_message(Message msg, support::SimTime now);
+  void on_message(const Message& msg, support::SimTime now);
   /// A steal request whose response should leave after `send_delay` (the
   /// victim-side packaging time accumulated at this poll boundary).
   void on_steal_request(const StealRequest& req, support::SimTime now,
@@ -144,10 +148,19 @@ class Peer final {
  private:
   /// trace_.record plus the observer's on_phase hook.
   void record_phase(support::SimTime t, metrics::Phase p);
-  void handle_steal_response(StealResponse resp, support::SimTime now);
+  void handle_steal_response(const StealResponse& resp, support::SimTime now);
   void handle_token(Token token, support::SimTime now);
   void handle_lifeline_register(const LifelineRegister& reg);
-  void receive_pushed_work(std::vector<Chunk> chunks, support::SimTime now);
+  void receive_pushed_work(const ChunkBatch& batch, support::SimTime now);
+  /// Parks the (non-empty) chunks leaving this rank and charges the sender
+  /// side of the transfer: chunks_sent, rule (1) blackening and the Mattern
+  /// sent counter.
+  ChunkBatch ship(std::vector<Chunk> chunks);
+  /// Wire size of a response or push carrying `batch`.
+  std::uint32_t wire_bytes(const ChunkBatch& batch) const noexcept {
+    return config_.response_header_bytes +
+           static_cast<std::uint32_t>(batch.nodes) * config_.node_bytes;
+  }
   void register_on_lifelines();
   void try_steal(support::SimTime now);
   /// Sends one steal request (fresh id, timer when steal_timeout > 0).
@@ -172,6 +185,7 @@ class Peer final {
   bool lossy_transport_;
   const WsConfig& config_;
   const topo::LatencyModel* latency_;
+  PayloadStore* payloads_;
   Transport& transport_;
   RunObserver* observer_;
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "proto/observer.hpp"
+#include "proto/payload_store.hpp"
 #include "proto/peer.hpp"
 #include "rt/channel.hpp"
 #include "support/check.hpp"
@@ -124,8 +125,9 @@ class RankExecutor;
 
 /// Shared state of one native run: the geometry (same JobLayout/LatencyModel
 /// objects the simulator builds, so victim selectors and steal-distance
-/// metrics see identical topology), the wall-clock epoch, and the global
-/// termination record.
+/// metrics see identical topology), the store every rank thread parks stolen
+/// chunks in while their batch crosses a channel, the wall-clock epoch, and
+/// the global termination record.
 class Runtime {
  public:
   Runtime(const ws::RunConfig& config, proto::RunObserver* observer);
@@ -137,6 +139,7 @@ class Runtime {
   const ws::RunConfig& config() const noexcept { return config_; }
   const topo::LatencyModel& latency() const noexcept { return latency_; }
   proto::RunObserver* observer() const noexcept { return observer_; }
+  proto::PayloadStore& payloads() noexcept { return payloads_; }
   bool same_node(topo::Rank a, topo::Rank b) const {
     return layout_.same_node(a, b);
   }
@@ -162,6 +165,7 @@ class Runtime {
   topo::JobLayout layout_;
   topo::LatencyModel latency_;
   proto::RunObserver* observer_;
+  proto::PayloadStore payloads_;  // before executors_: their peers park here
 
   std::vector<std::unique_ptr<RankExecutor>> executors_;
   std::chrono::steady_clock::time_point epoch_;
@@ -184,7 +188,7 @@ class RankExecutor final : public proto::Transport {
         rank_(rank),
         peer_(rt.config().ws,
               proto::Peer::Params{rank, rt.config().num_ranks,
-                                  /*lossy_transport=*/false},
+                                  /*lossy_transport=*/false, &rt.payloads()},
               &rt.latency(), *this, rt.observer()) {}
 
   /// Thread body: the Fig. 1 loop, driven by real time.
@@ -239,7 +243,7 @@ class RankExecutor final : public proto::Transport {
     ++msgs_sent_;
     bytes_sent_ += bytes;
     if (rt_.same_node(rank_, to)) ++intra_sent_;
-    rt_.executor(to).inbox().push(std::move(msg));
+    rt_.executor(to).inbox().push(msg);
   }
 
   void send_deferred(support::SimTime delay, topo::Rank to,
@@ -249,7 +253,7 @@ class RankExecutor final : public proto::Transport {
     // response enters the network; on real threads that time has genuinely
     // elapsed (we did the work of splitting the stack), so ship now.
     (void)delay;
-    send(to, proto::Message(std::move(resp)), bytes, cls);
+    send(to, resp, bytes, cls);
   }
 
   void arm_steal_timer(support::SimTime delay,
@@ -282,7 +286,7 @@ class RankExecutor final : public proto::Transport {
       any = true;
       // Zero packaging delay: real packaging time passes on this thread
       // inside the peer's response path (see send_deferred above).
-      peer_.on_message(std::move(msg), rt_.now());
+      peer_.on_message(msg, rt_.now());
     }
     return any;
   }
@@ -386,7 +390,8 @@ void Runtime::run() {
 
 ws::RunResult Runtime::result() const {
   // Same post-run invariants as run_simulation: the token protocol fired,
-  // every rank drained its stack, every shipped chunk landed.
+  // every rank drained its stack, every shipped chunk landed and left the
+  // payload store.
   DWS_CHECK(terminated_);
   std::uint64_t chunks_sent = 0;
   std::uint64_t chunks_received = 0;
@@ -397,6 +402,7 @@ ws::RunResult Runtime::result() const {
     chunks_received += ex->peer().stats().chunks_received;
   }
   DWS_CHECK(chunks_sent == chunks_received);
+  DWS_CHECK(payloads_.in_use() == 0);
 
   ws::RunResult result;
   result.runtime = termination_time_;

@@ -216,8 +216,9 @@ class ChannelTable {
 ///
 /// Event-core integration: a send parks the message in a slab pool and
 /// schedules one typed kNetworkDeliver event carrying the pool handle — no
-/// per-message closure, no per-message allocation beyond what the message
-/// itself owns. `Deliver` defaults to std::function for tests; the ws
+/// per-message closure and no per-message allocation. The steal protocol's
+/// messages are trivially copyable (stolen chunks stay in the run's
+/// proto::PayloadStore), so each hop through here is a plain copy. `Deliver` defaults to std::function for tests; the ws
 /// scheduler passes a concrete functor so delivery is a direct call.
 ///
 /// Channel lifecycle: the non-overtaking clamp needs a channel's previous
@@ -235,7 +236,9 @@ class ChannelTable {
 /// counted in NetworkStats (the send happened; only delivery is lost) but
 /// schedules nothing and adds no congestion load. A duplicated message is
 /// delivered twice — the copy gets its own jitter draw but both obey the
-/// channel clamp — and counted twice. Latency multipliers (jitter, degraded
+/// channel clamp — and counted twice. The copy is a byte copy: a duplicated
+/// work-carrying response shares its payload handle with the original, and
+/// only the copy the thief accepts takes the payload (proto::ChunkBatch). Latency multipliers (jitter, degraded
 /// links) scale the full congested latency of each delivery.
 ///
 /// Sharded runs (DESIGN.md §12): each shard owns one Network over the same

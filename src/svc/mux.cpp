@@ -10,8 +10,8 @@ namespace dws::svc {
 
 // ---- DeliverToMux ----------------------------------------------------------
 
-void DeliverToMux::operator()(topo::Rank dst, Envelope env) const {
-  (*muxes)[dst]->on_envelope(std::move(env));
+void DeliverToMux::operator()(topo::Rank dst, const Envelope& env) const {
+  (*muxes)[dst]->on_envelope(env);
 }
 
 // ---- ServicePlan -----------------------------------------------------------
@@ -45,8 +45,7 @@ ServicePlan::ServicePlan(const ws::RunConfig& config)
 
 void SvcPort::send(topo::Rank from, topo::Rank to, proto::Message msg,
                    std::uint32_t bytes, fault::MsgClass cls) {
-  mux->ctx().network->send(from, base + to, Envelope{job, std::move(msg)},
-                           bytes, cls);
+  mux->ctx().network->send(from, base + to, Envelope{job, msg}, bytes, cls);
 }
 
 void SvcPort::terminated(topo::Rank rank, support::SimTime at) {
@@ -79,9 +78,9 @@ std::size_t MuxWorker::pending_messages() const noexcept {
   return n;
 }
 
-void MuxWorker::on_envelope(Envelope env) {
-  if (auto* msg = std::get_if<proto::Message>(&env.body)) {
-    route_proto(env.job, std::move(*msg));
+void MuxWorker::on_envelope(const Envelope& env) {
+  if (const auto* msg = std::get_if<proto::Message>(&env.body)) {
+    route_proto(env.job, *msg);
   } else if (const auto* a = std::get_if<JobAdmit>(&env.body)) {
     admit(*a);
   } else if (const auto* u = std::get_if<LeaseUpdate>(&env.body)) {
@@ -93,16 +92,16 @@ void MuxWorker::on_envelope(Envelope env) {
   }
 }
 
-void MuxWorker::route_proto(JobId job, proto::Message msg) {
+void MuxWorker::route_proto(JobId job, const proto::Message& msg) {
   const auto it = workers_.find(job);
   if (it == workers_.end()) {
     // Workers are never destroyed, so no worker means the admit has not
     // arrived yet (fault jitter can let a peer's first request overtake the
     // controller's admit — different channels). Park it until admission.
-    pending_[job].push_back(std::move(msg));
+    pending_[job].push_back(msg);
     return;
   }
-  it->second->on_message(std::move(msg));
+  it->second->on_message(msg);
 }
 
 void MuxWorker::admit(const JobAdmit& a) {
@@ -123,9 +122,9 @@ void MuxWorker::admit(const JobAdmit& a) {
   if (pit != pending_.end()) {
     std::vector<proto::Message> msgs = std::move(pit->second);
     pending_.erase(pit);
-    for (proto::Message& m : msgs) {
+    for (const proto::Message& m : msgs) {
       if (w.done()) break;
-      w.on_message(std::move(m));
+      w.on_message(m);
     }
   }
 }

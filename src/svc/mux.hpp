@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -65,6 +66,7 @@ struct Envelope {
   JobId job = 0;
   std::variant<proto::Message, JobAdmit, LeaseUpdate, JobDone> body;
 };
+static_assert(std::is_trivially_copyable_v<Envelope>);
 
 class MuxWorker;
 
@@ -72,7 +74,7 @@ class MuxWorker;
 /// so delivery stays a direct call (same pattern as ws::DeliverToWorkers).
 struct DeliverToMux {
   std::vector<std::unique_ptr<MuxWorker>>* muxes = nullptr;
-  void operator()(topo::Rank dst, Envelope env) const;
+  void operator()(topo::Rank dst, const Envelope& env) const;
 };
 
 using SvcNetwork = sim::Network<Envelope, DeliverToMux>;
@@ -169,7 +171,7 @@ class MuxWorker final {
   MuxWorker(topo::Rank rank, ServiceContext& ctx);
 
   /// Network delivery entry point.
-  void on_envelope(Envelope env);
+  void on_envelope(const Envelope& env);
   /// Direct-call twins of the control envelopes, used by the controller for
   /// its own rank (the network forbids self-sends).
   void admit(const JobAdmit& a);
@@ -189,7 +191,7 @@ class MuxWorker final {
   std::size_t pending_messages() const noexcept;
 
  private:
-  void route_proto(JobId job, proto::Message msg);
+  void route_proto(JobId job, const proto::Message& msg);
 
   topo::Rank rank_;
   ServiceContext& ctx_;

@@ -45,6 +45,7 @@ struct SvcBinding {
     ctx.engine = &shard.engine;
     ctx.config = &config.ws;
     ctx.faults = shard.faults;
+    ctx.payloads = shard.payloads;
     ctx.network = shard.network.get();
     ctx.run = &config;
     ctx.plan = &plan;
@@ -70,7 +71,8 @@ struct SvcBinding {
   /// Checks the always-on service audit — every job admitted and retired,
   /// no deferred response leaked, every job worker done with an empty stack
   /// and no pre-admit messages parked, per-job chunks sent == received (work
-  /// conservation under elastic grow/shrink) — and folds per-worker stats
+  /// conservation under elastic grow/shrink) and every shipped payload
+  /// taken from the run's store — and folds per-worker stats
   /// into per-rank and per-job results.
   ws::RunResult finish(const std::vector<const Local*>& locals,
                        const std::vector<std::uint32_t>& shard_of_rank) const {
@@ -143,6 +145,7 @@ struct SvcBinding {
     for (topo::Rank r = 0; r < config.num_ranks; ++r) {
       DWS_CHECK(mux(r).pending_messages() == 0);
     }
+    DWS_CHECK(locals[0]->ctx.payloads->in_use() == 0);
     result.stats = metrics::aggregate(result.per_rank);
     return result;
   }

@@ -280,6 +280,7 @@ struct WsBinding {
     ctx.engine = &shard.engine;
     ctx.config = &config.ws;
     ctx.faults = shard.faults;
+    ctx.payloads = shard.payloads;
     ctx.network = shard.network.get();
     proto::RunObserver* shard_observer = observer;
     if (sharded && observer != nullptr) {
@@ -312,7 +313,7 @@ struct WsBinding {
                    const std::vector<std::uint32_t>& shard_of_rank) const {
     // Post-run invariants: the token protocol must have fired (rank 0 owns
     // the flag), every worker must have drained its stack, and every
-    // shipped chunk must have landed.
+    // shipped chunk must have landed and left the payload store.
     const RunContext& ctx0 = locals[0]->ctx;
     DWS_CHECK(ctx0.terminated);
 
@@ -341,6 +342,7 @@ struct WsBinding {
       if (config.ws.record_trace) result.trace.ranks.push_back(w.trace());
     }
     DWS_CHECK(chunks_sent == chunks_received);
+    DWS_CHECK(ctx0.payloads->in_use() == 0);
     result.stats = metrics::aggregate(result.per_rank);
     return result;
   }

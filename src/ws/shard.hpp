@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "proto/payload_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "support/check.hpp"
@@ -95,14 +96,17 @@ class ShardRouter final : public BindingNetwork<Binding>::Router {
 };
 
 /// Everything one shard owns: its engine, network and fault injector, the
-/// binding's executors, and the per-window published next-event time. A
-/// serial run is one Shard with no router.
+/// binding's executors, and the per-window published next-event time; plus
+/// the run's one PayloadStore, which every shard shares. A serial run is one
+/// Shard with no router.
 template <typename Binding>
 struct Shard {
-  Shard(std::uint32_t id, const RunConfig& config)
+  Shard(std::uint32_t id, const RunConfig& config,
+        proto::PayloadStore& payload_store)
       : engine(id),
         injector(config.fault, config.num_ranks),
-        faults(injector.enabled() ? &injector : nullptr) {}
+        faults(injector.enabled() ? &injector : nullptr),
+        payloads(&payload_store) {}
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
@@ -116,6 +120,9 @@ struct Shard {
   /// What the network and executors get: null without faults, which keeps
   /// the hot paths on their zero-cost branch.
   fault::Injector* const faults;
+  /// Chunks in transit, run-wide: a batch parked on one shard may be taken
+  /// on another after crossing a mailbox.
+  proto::PayloadStore* const payloads;
   typename Binding::Local local;
   std::unique_ptr<BindingNetwork<Binding>> network;
   std::unique_ptr<ShardRouter<Binding>> router;  ///< sharded runs only
@@ -288,12 +295,15 @@ RunResult run_windowed(const RunConfig& config, const topo::JobLayout& layout,
     }
   }
 
+  // Declared before the shards, so it outlives every executor that parks
+  // into it; whatever an aborted run leaves parked is freed with it.
+  proto::PayloadStore payloads;
   std::vector<MailSlot<typename Binding::Payload>> mail(
       static_cast<std::size_t>(num_shards) * num_shards);
   std::vector<std::unique_ptr<Shard<Binding>>> shards;
   shards.reserve(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard<Binding>>(s, config);
+    auto shard = std::make_unique<Shard<Binding>>(s, config, payloads);
     shard->network = std::make_unique<BindingNetwork<Binding>>(
         shard->engine, latency, binding.deliver(shard->local), congestion,
         shard->faults);

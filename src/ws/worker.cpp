@@ -1,13 +1,10 @@
 #include "ws/worker.hpp"
 
-#include <utility>
-
 namespace dws::ws {
 
-template class Worker<WsPort>;
-
-void DeliverToWorkers::operator()(topo::Rank dst, proto::Message msg) const {
-  (*workers)[dst]->on_message(std::move(msg));
+void DeliverToWorkers::operator()(topo::Rank dst,
+                                  const proto::Message& msg) const {
+  (*workers)[dst]->on_message(msg);
 }
 
 }  // namespace dws::ws

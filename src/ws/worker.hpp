@@ -26,7 +26,9 @@
 namespace dws::ws {
 
 /// A packaged steal response waiting out its victim-side handling delay
-/// before entering the network (EventKind::kDeferredResponse).
+/// before entering the network (EventKind::kDeferredResponse). Plain bytes:
+/// a work-carrying response's chunks are already parked in the run's
+/// proto::PayloadStore.
 struct PendingSend {
   proto::StealResponse resp;
   topo::Rank thief = 0;  ///< job-local
@@ -43,6 +45,9 @@ struct ExecContext {
   /// Non-null iff fault injection is active for this run (DESIGN.md §10):
   /// workers consult it for straggler slowdowns and transient pauses.
   fault::Injector* faults = nullptr;
+  /// The run's store for chunks in transit; one per run, shared by every
+  /// shard (proto::PayloadStore).
+  proto::PayloadStore* payloads = nullptr;
   /// Deferred steal responses in flight between packaging and send; shared
   /// across the shard's workers so slots recycle shard-wide.
   sim::SlabPool<PendingSend> deferred;
@@ -84,10 +89,9 @@ struct RankPause {
 /// (svc::SvcPort) run this one loop. The compile-time `Port` supplies what
 /// differs where a job meets the outside:
 ///
-///   // Put a job-local message (a proto::Message, or the StealResponse of
-///   // a deferred send) from global rank `from` on the network.
-///   void send(topo::Rank from, topo::Rank to, M&& msg, std::uint32_t bytes,
-///             fault::MsgClass cls);
+///   // Put a job-local message from global rank `from` on the network.
+///   void send(topo::Rank from, topo::Rank to, proto::Message msg,
+///             std::uint32_t bytes, fault::MsgClass cls);
 ///   // The job's token proved quiescence at `at` (job-local rank 0 only).
 ///   void terminated(topo::Rank rank, support::SimTime at);
 ///   // The physical rank's one-shot pause.
@@ -118,7 +122,8 @@ class Worker final : public sim::EventSink, private proto::Transport {
         tree_(tree),
         observer_(observer),
         peer_(*ctx.config,
-              proto::Peer::Params{local, width, ctx.faults != nullptr},
+              proto::Peer::Params{local, width, ctx.faults != nullptr,
+                                  ctx.payloads},
               latency, *this, observer),
         per_node_cost_(ctx.faults != nullptr
                            ? ctx.faults->scaled_node_cost(
@@ -145,8 +150,8 @@ class Worker final : public sim::EventSink, private proto::Transport {
         break;
       case sim::EventKind::kDeferredResponse: {
         // Packaging delay served: the response enters the network now.
-        PendingSend p = ctx_.deferred.take(ev.payload);
-        port_.send(rank_, p.thief, std::move(p.resp), p.bytes, p.cls);
+        const PendingSend p = ctx_.deferred.take(ev.payload);
+        port_.send(rank_, p.thief, p.resp, p.bytes, p.cls);
         break;
       }
       case sim::EventKind::kStealTimeout:
@@ -161,7 +166,7 @@ class Worker final : public sim::EventSink, private proto::Transport {
   }
 
   /// Network delivery entry point.
-  void on_message(proto::Message msg) {
+  void on_message(const proto::Message& msg) {
     if (peer_.done()) return;
     if (peer_.active()) {
       // One-sided steals bypass the victim's polling loop entirely: the
@@ -175,11 +180,11 @@ class Worker final : public sim::EventSink, private proto::Transport {
       // Mid-expansion: messages wait for the next poll boundary, exactly
       // like MPI messages wait for the reference implementation's next
       // MPI_Iprobe.
-      inbox_.push_back(std::move(msg));
+      inbox_.push_back(msg);
       return;
     }
     // Idle ranks sit in the steal/wait loop and react immediately.
-    peer_.on_message(std::move(msg), ctx_.engine->now());
+    peer_.on_message(msg, ctx_.engine->now());
   }
 
   /// Service time sharing: this rank's lease on the job changed. A revoked
@@ -207,7 +212,7 @@ class Worker final : public sim::EventSink, private proto::Transport {
   // proto::Transport — the simulator side of the protocol seam.
   void send(topo::Rank to, proto::Message msg, std::uint32_t bytes,
             fault::MsgClass cls) override {
-    port_.send(rank_, to, std::move(msg), bytes, cls);
+    port_.send(rank_, to, msg, bytes, cls);
   }
 
   void send_deferred(support::SimTime delay, topo::Rank to,
@@ -216,7 +221,7 @@ class Worker final : public sim::EventSink, private proto::Transport {
     // Packaging happens at a poll boundary; the response enters the network
     // once this and the previously drained requests have been serviced.
     const std::uint32_t handle =
-        ctx_.deferred.acquire(PendingSend{std::move(resp), to, bytes, cls});
+        ctx_.deferred.acquire(PendingSend{resp, to, bytes, cls});
     ctx_.engine->schedule_after(delay, *this,
                                 sim::EventKind::kDeferredResponse, rank_,
                                 handle);
@@ -330,12 +335,12 @@ class Worker final : public sim::EventSink, private proto::Transport {
     // Index-based iteration keeps us safe against vector reallocation.
     for (std::size_t i = 0; i < inbox_.size(); ++i) {
       if (peer_.done()) break;  // a drained Terminate ends everything
-      proto::Message msg = std::move(inbox_[i]);
+      const proto::Message msg = inbox_[i];
       if (const auto* req = std::get_if<proto::StealRequest>(&msg)) {
         busy += ctx_.config->steal_handling_cost;
         peer_.on_steal_request(*req, ctx_.engine->now(), busy);
       } else {
-        peer_.on_message(std::move(msg), ctx_.engine->now());
+        peer_.on_message(msg, ctx_.engine->now());
       }
     }
     inbox_.clear();
@@ -367,7 +372,7 @@ using WsWorker = Worker<WsPort>;
 /// (not std::function) so Network's delivery dispatch is a direct call.
 struct DeliverToWorkers {
   std::vector<std::unique_ptr<WsWorker>>* workers = nullptr;
-  void operator()(topo::Rank dst, proto::Message msg) const;
+  void operator()(topo::Rank dst, const proto::Message& msg) const;
 };
 
 /// The single-job run's transport, typed on the direct-call delivery functor.
@@ -388,12 +393,9 @@ struct WsPort {
   RunContext* ctx = nullptr;
   RankPause rank_pause;
 
-  /// Forwards, so a deferred StealResponse becomes the network's Message in
-  /// place, with no extra move on the per-message path.
-  template <typename Msg>
-  void send(topo::Rank from, topo::Rank to, Msg&& msg, std::uint32_t bytes,
-            fault::MsgClass cls) {
-    ctx->network->send(from, to, std::forward<Msg>(msg), bytes, cls);
+  void send(topo::Rank from, topo::Rank to, proto::Message msg,
+            std::uint32_t bytes, fault::MsgClass cls) {
+    ctx->network->send(from, to, msg, bytes, cls);
   }
   void terminated(topo::Rank /*rank*/, support::SimTime at) {
     DWS_CHECK(!ctx->terminated);
@@ -402,11 +404,5 @@ struct WsPort {
   }
   RankPause& pause() noexcept { return rank_pause; }
 };
-
-// Compiled once, in worker.cpp, not in the run driver's translation unit.
-// With the worker inlined into the driver, GCC 12 stopped inlining the
-// network's Message moves and the messaging-bound ref_1n_512 benchmark
-// workload ran about 10% slower.
-extern template class Worker<WsPort>;
 
 }  // namespace dws::ws

@@ -8,6 +8,7 @@
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "fault/fault.hpp"
+#include "proto/observer.hpp"
 #include "uts/params.hpp"
 #include "uts/sequential.hpp"
 #include "ws/scheduler.hpp"
@@ -199,6 +200,66 @@ TEST(Duplicates, RetryAfterDuplicateResponseStaysConsistent) {
     ASSERT_EQ(audited.result.nodes,
               uts::enumerate_sequential(cfg.tree).nodes);
   }
+}
+
+/// Counts the discarded duplicates that carried work: copies of a batch
+/// whose first copy some thief accepted.
+class WorkDuplicateCounter final : public proto::RunObserver {
+ public:
+  void on_duplicate_response(topo::Rank, std::uint64_t chunks,
+                             std::uint64_t) override {
+    if (chunks > 0) ++work_duplicates;
+  }
+  std::uint64_t work_duplicates = 0;
+};
+
+/// Duplicated work-carrying responses: both copies carry one ChunkBatch
+/// handle, the accepted copy takes the payload and the other reads only the
+/// counts. The run driver checks that the payload store is empty at the
+/// end, next to chunks_sent == chunks_received, and aborts otherwise, so a
+/// returned run proves every payload was taken exactly once. At 2 shards
+/// half the steals, and their duplicates, cross a shard mailbox.
+void expect_duplicated_work_conserved(std::uint32_t shards) {
+  ws::RunConfig cfg;
+  cfg.tree = uts::tree_by_name("TEST_BIN_SMALL");
+  cfg.num_ranks = 16;
+  cfg.ws.chunk_size = 4;
+  cfg.ws.victim_policy = ws::VictimPolicy::kRandom;
+  cfg.ws.steal_amount = ws::StealAmount::kHalf;
+  cfg.placement = topo::Placement::kOnePerNode;
+  cfg.procs_per_node = 1;
+  cfg.sim_shards = shards;
+  cfg.fault.dup_prob = 0.5;
+  cfg.fault.seed = 3;
+
+  const audit::AuditedResult audited =
+      audit::audited_run(cfg, audit::AuditConfig{});
+  ASSERT_TRUE(audited.report.ok()) << audited.report.summary();
+  const ws::RunResult& result = audited.result;
+  EXPECT_EQ(result.shards_used, shards);
+  EXPECT_EQ(result.nodes, uts::enumerate_sequential(cfg.tree).nodes);
+  EXPECT_GT(result.stats.duplicate_responses, 0u);
+  std::uint64_t chunks_received = 0;
+  for (const metrics::RankStats& r : result.per_rank) {
+    chunks_received += r.chunks_received;
+  }
+  EXPECT_GT(result.stats.chunks_sent, 0u);
+  EXPECT_EQ(result.stats.chunks_sent, chunks_received);
+
+  WorkDuplicateCounter counter;
+  const ws::RunResult observed = ws::run_simulation(cfg, &counter);
+  EXPECT_GT(counter.work_duplicates, 0u)
+      << "no duplicated response carried work";
+  EXPECT_EQ(observed.stats.duplicate_responses,
+            result.stats.duplicate_responses);
+}
+
+TEST(DuplicatedWork, SerialRunTakesEachPayloadOnce) {
+  expect_duplicated_work_conserved(1);
+}
+
+TEST(DuplicatedWork, TwoShardRunTakesEachPayloadOnce) {
+  expect_duplicated_work_conserved(2);
 }
 
 TEST(RecordSchema, V3RoundTripsTheFaultCounters) {

@@ -21,6 +21,7 @@
 #include "proto/config.hpp"
 #include "proto/message.hpp"
 #include "proto/observer.hpp"
+#include "proto/payload_store.hpp"
 #include "proto/transport.hpp"
 #include "topo/allocation.hpp"
 #include "topo/latency.hpp"
@@ -55,11 +56,9 @@ std::string describe(const Message& msg) {
           return "req{thief=" + std::to_string(m.thief) +
                  ",id=" + std::to_string(m.request_id) + "}";
         } else if constexpr (std::is_same_v<T, StealResponse>) {
-          std::size_t nodes = 0;
-          for (const auto& c : m.chunks) nodes += c.size();
           return "resp{id=" + std::to_string(m.request_id) +
-                 ",chunks=" + std::to_string(m.chunks.size()) +
-                 ",nodes=" + std::to_string(nodes) + "}";
+                 ",chunks=" + std::to_string(m.chunks.chunks) +
+                 ",nodes=" + std::to_string(m.chunks.nodes) + "}";
         } else if constexpr (std::is_same_v<T, Token>) {
           return "token{gen=" + std::to_string(m.generation) +
                  ",black=" + std::to_string(m.black) +
@@ -71,7 +70,7 @@ std::string describe(const Message& msg) {
           return "reg{dep=" + std::to_string(m.dependent) + "}";
         } else {
           static_assert(std::is_same_v<T, LifelinePush>);
-          return "push{chunks=" + std::to_string(m.chunks.size()) + "}";
+          return "push{chunks=" + std::to_string(m.chunks.chunks) + "}";
         }
       },
       msg);
@@ -119,6 +118,8 @@ using Trace = std::vector<std::string>;
 
 /// One scripted peer: default K-Computer geometry, kRoundRobin victims so
 /// every pick in the goldens is predictable (rank i starts at i+1 mod N).
+/// It owns the payload store its peer parks in and takes from, and parks
+/// the scripted inbound work there too.
 class ScriptedPeer {
  public:
   ScriptedPeer(WsConfig config, topo::Rank rank, topo::Rank num_ranks,
@@ -126,12 +127,28 @@ class ScriptedPeer {
       : config_(config),
         layout_(machine_, num_ranks, topo::Placement::kOnePerNode),
         latency_(layout_),
-        peer_(config_, Peer::Params{rank, num_ranks, lossy}, &latency_,
-              transport_, observer) {}
+        peer_(config_, Peer::Params{rank, num_ranks, lossy, &store_},
+              &latency_, transport_, observer) {}
 
   Peer& peer() { return peer_; }
   ScriptTransport& transport() { return transport_; }
+  PayloadStore& store() { return store_; }
   Trace take() { return transport_.take(); }
+
+  /// One parked chunk of `nodes` nodes, as a victim would ship it.
+  ChunkBatch work(std::size_t nodes) {
+    Chunk chunk;
+    for (std::size_t i = 0; i < nodes; ++i) chunk.push_back(node_at(1));
+    std::vector<Chunk> chunks;
+    chunks.push_back(std::move(chunk));
+    return store_.park(std::move(chunks));
+  }
+  StealResponse work_response(std::uint32_t id, std::size_t nodes) {
+    StealResponse r;
+    r.request_id = id;
+    r.chunks = work(nodes);
+    return r;
+  }
 
  private:
   WsConfig config_;
@@ -139,21 +156,13 @@ class ScriptedPeer {
   topo::JobLayout layout_;
   topo::LatencyModel latency_;
   ScriptTransport transport_;
+  PayloadStore store_;
   Peer peer_;
 };
 
 StealResponse refusal(std::uint32_t id) {
   StealResponse r;
   r.request_id = id;
-  return r;
-}
-
-StealResponse work_response(std::uint32_t id, std::size_t nodes) {
-  StealResponse r;
-  r.request_id = id;
-  Chunk chunk;
-  for (std::size_t i = 0; i < nodes; ++i) chunk.push_back(node_at(1));
-  r.chunks.push_back(std::move(chunk));
   return r;
 }
 
@@ -185,7 +194,7 @@ TEST(PeerTrace, WorkResponseInstallsChunksAndActivates) {
 
   s.peer().on_out_of_work(0);
   s.take();
-  s.peer().on_message(work_response(1, 20), 500);
+  s.peer().on_message(s.work_response(1, 20), 500);
 
   // 16B header + 20 nodes * 24B — exactly what the victim side charges.
   EXPECT_EQ(s.take(), Trace({"activated"}));
@@ -368,7 +377,7 @@ TEST(PeerTrace, AdaptiveFeedbackFiresAfterEachResolutionWithEwmaSnapshots) {
   EXPECT_DOUBLE_EQ(obs.last_rtt_ewma, 325.0);     // 3/4 * 100 + 1/4 * 1000
 
   // A work-carrying answer closes the loop: success, EWMAs recover.
-  s.peer().on_message(work_response(3, 20), 1400);
+  s.peer().on_message(s.work_response(3, 20), 1400);
   EXPECT_EQ(obs.take(), Trace({"recv victim=0 chunks=1 nodes=20",
                                "feedback victim=0 success=1 rtt=300"}));
   EXPECT_DOUBLE_EQ(obs.last_success_ewma, 0.8125);  // 3/4 * 0.75 + 1/4
@@ -399,7 +408,7 @@ TEST(PeerTrace, LateAnswerToAnAbandonedRequestIsStillBanked) {
 
   // The victim really gave those nodes away: dropping them would violate
   // work conservation, so the late answer installs and reactivates.
-  s.peer().on_message(work_response(1, 20), 1500);
+  s.peer().on_message(s.work_response(1, 20), 1500);
   EXPECT_EQ(s.take(), Trace({"activated"}));
   EXPECT_EQ(s.peer().stack().size(), 20u);
   EXPECT_EQ(s.peer().stats().successful_steals, 1u);
@@ -429,17 +438,45 @@ TEST(PeerTrace, NetworkDuplicateResponsesAreConsumedExactlyOnce) {
 
   s.peer().on_out_of_work(0);
   s.take();
-  StealResponse resp = work_response(1, 20);
+  StealResponse resp = s.work_response(1, 20);
   s.peer().on_message(resp, 500);
   EXPECT_EQ(s.take(), Trace({"activated"}));
   EXPECT_EQ(s.peer().stack().size(), 20u);
+  EXPECT_EQ(s.store().in_use(), 0u);  // the accepted copy took the payload
 
-  // The duplicated copy carries copies of already-installed nodes.
+  // The duplicated copy shares the handle of already-installed nodes.
   s.peer().on_message(resp, 600);
   EXPECT_EQ(s.take(), Trace{});
   EXPECT_EQ(s.peer().stack().size(), 20u);
   EXPECT_EQ(s.peer().stats().duplicate_responses, 1u);
   EXPECT_EQ(s.peer().stats().successful_steals, 1u);
+}
+
+TEST(PeerTrace, DuplicateOfABankedLateAnswerLeavesTheReusedHandleAlone) {
+  WsConfig cfg;
+  cfg.steal_timeout = 1000;
+  ScriptedPeer s(cfg, 1, 4, /*lossy=*/true);
+
+  s.peer().on_out_of_work(0);          // id=1 to victim 2
+  s.peer().on_steal_timeout(1, 1000);  // abandon id=1, retry id=2
+  s.take();
+
+  const StealResponse late = s.work_response(1, 20);
+  s.peer().on_message(late, 1500);
+  EXPECT_EQ(s.take(), Trace({"activated"}));
+  EXPECT_EQ(s.store().in_use(), 0u);
+
+  // The freed handle goes to the next batch parked anywhere in the run. The
+  // duplicate reads only its inline counts, so that batch stays parked.
+  const ChunkBatch other = s.work(7);
+  ASSERT_EQ(other.handle, late.chunks.handle);
+  s.peer().on_message(late, 1600);
+  EXPECT_EQ(s.take(), Trace{});
+  EXPECT_EQ(s.peer().stack().size(), 20u);
+  EXPECT_EQ(s.peer().stats().duplicate_responses, 1u);
+  EXPECT_EQ(s.peer().stats().chunks_received, 1u);
+  ASSERT_EQ(s.store().in_use(), 1u);
+  EXPECT_EQ(s.store().take(other).front().size(), 7u);
 }
 
 TEST(PeerTrace, LossyVictimAnswersADuplicatedRequestOnlyOnce) {
@@ -458,6 +495,7 @@ TEST(PeerTrace, LossyVictimAnswersADuplicatedRequestOnlyOnce) {
   s.peer().on_message(StealRequest{3, 1}, 60);
   EXPECT_EQ(s.take(), Trace{});
   EXPECT_EQ(s.peer().stats().requests_served, 1u);
+  EXPECT_EQ(s.store().in_use(), 1u);  // one batch parked, one shipped
 }
 
 // ---------------------------------------------------------------------------
@@ -591,9 +629,7 @@ TEST(PeerTrace, RepeatedFailuresRegisterOnHypercubeBuddies) {
   EXPECT_EQ(s.peer().stats().lifeline_registrations, 1u);
 
   // A buddy pushes surplus: reactivate without any further requests.
-  LifelinePush push;
-  push.chunks = work_response(0, 20).chunks;
-  s.peer().on_message(std::move(push), 1000);
+  s.peer().on_message(LifelinePush{s.work(20)}, 1000);
   EXPECT_EQ(s.take(), Trace({"activated"}));
   EXPECT_EQ(s.peer().stack().size(), 20u);
 }

@@ -97,19 +97,23 @@ TEST(MpscChannel, InterleavedPushPopConserves) {
 
 TEST(MpscChannel, CarriesProtocolMessagesIntact) {
   MpscChannel<proto::Message> ch;
+  // A work-carrying response crosses the channel as its batch: the handle
+  // and the inline counts arrive unchanged.
   proto::StealResponse resp;
-  resp.chunks.resize(3);
+  resp.chunks = proto::ChunkBatch{/*handle=*/5, /*chunks=*/3, /*nodes=*/40};
   resp.request_id = 9;
   proto::StealRequest req;
   req.thief = 3;
   req.request_id = 10;
-  ch.push(proto::Message(std::move(resp)));
+  ch.push(proto::Message(resp));
   ch.push(proto::Message(req));
   proto::Message out;
   ASSERT_TRUE(ch.pop(out));
   const auto* got = std::get_if<proto::StealResponse>(&out);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->chunks.size(), 3u);
+  EXPECT_EQ(got->chunks.handle, 5u);
+  EXPECT_EQ(got->chunks.chunks, 3u);
+  EXPECT_EQ(got->chunks.nodes, 40u);
   EXPECT_EQ(got->request_id, 9u);
   ASSERT_TRUE(ch.pop(out));
   const auto* got_req = std::get_if<proto::StealRequest>(&out);
