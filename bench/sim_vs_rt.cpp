@@ -26,6 +26,7 @@
 #include "audit/audit.hpp"
 #include "exp/figures.hpp"
 #include "metrics/trace.hpp"
+#include "proto/config.hpp"
 #include "rt/runtime.hpp"
 #include "support/histogram.hpp"
 #include "support/table.hpp"
@@ -178,11 +179,12 @@ int main(int argc, char** argv) {
       static_cast<support::SimTime>(duo.rtt > 0 ? duo.rtt / 2.0 : 1.0);
   calibrate_latency(base, one_way);
 
+  const proto::WsConfig model_default;
   std::printf("host cores: %u   reps per native point: %u\n", cores, reps);
   std::printf("calibration: per-node cost %lld ns (model default %lld), "
               "steal one-way %lld ns\n\n",
               static_cast<long long>(solo.per_node_cost),
-              static_cast<long long>(ws::RunConfig{}.ws.node_cost()),
+              static_cast<long long>(model_default.node_cost()),
               static_cast<long long>(one_way));
 
   const std::vector<topo::Rank> thread_counts =

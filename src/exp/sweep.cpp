@@ -138,7 +138,11 @@ Axis sim_shards_axis(const std::vector<std::uint32_t>& shards) {
 Axis congestion_axis(const std::vector<double>& scales) {
   Axis axis{"congestion", {}};
   for (const double scale : scales) {
-    std::string label = scale == 0.0 ? "off" : "x" + std::to_string(scale);
+    std::string label = "off";
+    if (scale != 0.0) {
+      label = "x";
+      label += std::to_string(scale);
+    }
     axis.points.push_back({std::move(label), [scale](ws::RunConfig& cfg) {
                              if (scale == 0.0) {
                                cfg.congestion = sim::CongestionParams{};

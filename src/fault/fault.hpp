@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "support/open_table.hpp"
 #include "support/rng.hpp"
 #include "support/sim_time.hpp"
 
@@ -94,7 +94,10 @@ struct FaultStats {
 /// draws, plus what the injector did on this channel. Summing the per-channel
 /// drop/dup counts over channels() reproduces the global FaultStats — the
 /// conservation property the sharded merge (one injector per shard, disjoint
-/// channel sets) relies on and the tests pin.
+/// channel sets) relies on and the tests pin. The injector keeps the entry
+/// of every channel that ever sent in one flat open-addressed table
+/// (support::OpenTable) and never removes one: the send counter must
+/// survive the channel's idle spells.
 struct ChannelFaultState {
   std::uint64_t sends = 0;  ///< per-channel send sequence (the draw key)
   std::uint64_t dropped_messages = 0;
@@ -126,13 +129,13 @@ class Injector {
   bool enabled() const noexcept { return cfg_.enabled(); }
   const FaultStats& stats() const noexcept { return stats_; }
 
+  using ChannelStates = support::OpenTable<ChannelFaultState>;
+
   /// Per-channel send counters and drop/dup tallies, keyed by the network's
   /// (src<<32)|dst channel key. Only channels that saw at least one
-  /// plan_send appear.
-  const std::unordered_map<std::uint64_t, ChannelFaultState>& channels()
-      const noexcept {
-    return channels_;
-  }
+  /// plan_send appear. Iterate as `for (const auto& [key, state] : ...)`;
+  /// the visiting order is the table's slot order, so sum, do not sequence.
+  const ChannelStates& channels() const noexcept { return channels_; }
 
   /// One decision per network send on channel `channel_key` (the network's
   /// (src<<32)|dst key). Mutates the send counter and the fault stats.
@@ -160,7 +163,7 @@ class Injector {
   FaultStats stats_;
   /// Per-channel state (the replayed dimension). A channel's draws are a
   /// pure function of its own send count, never of other channels' traffic.
-  std::unordered_map<std::uint64_t, ChannelFaultState> channels_;
+  ChannelStates channels_;
   std::vector<std::uint8_t> straggler_;     // per rank
   std::vector<support::SimTime> pause_at_;  // per rank; <0 = no pause
 };

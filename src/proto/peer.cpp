@@ -85,12 +85,11 @@ void Peer::on_steal_request(const StealRequest& req, support::SimTime now,
     // would discard the second response as a duplicate, losing any work it
     // carried. Ids on the (thief -> victim) channel arrive non-decreasing
     // (non-overtaking), so a repeat id is exactly a duplicate.
-    const auto [it, inserted] =
-        last_request_seen_.try_emplace(req.thief, req.request_id);
-    if (!inserted) {
-      if (req.request_id <= it->second) return;
-      it->second = req.request_id;
-    }
+    if (last_request_seen_.empty()) last_request_seen_.assign(num_ranks_, 0);
+    DWS_DCHECK(req.thief < num_ranks_ && req.request_id > 0);
+    std::uint32_t& seen = last_request_seen_[req.thief];
+    if (req.request_id <= seen) return;
+    seen = req.request_id;
   }
   ++stats_.requests_served;
   // Under adaptive amount switching the thief states how much it wants per

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/rank_stats.hpp"
@@ -219,10 +219,15 @@ class Peer final {
     topo::Rank victim = 0;
   };
   std::vector<AbandonedRequest> abandoned_requests_;
-  /// Victim side: highest request id seen per thief; repeats are network
-  /// duplicates and must not be answered twice. Only consulted when the
-  /// transport is lossy.
-  std::unordered_map<topo::Rank, std::uint32_t> last_request_seen_;
+  /// Victim side, lossy transports only: the highest request id seen from
+  /// each thief, indexed by the thief's job-local rank; repeats are network
+  /// duplicates and must not be answered twice. Ids start at 1, so 0 reads
+  /// "none seen". Sized to num_ranks_ by the first request served, so a
+  /// rank that serves none allocates nothing. Memory trade: 4 * num_ranks_
+  /// bytes per serving victim, where a hash map held only the thieves seen
+  /// but spent ~40 bytes and one allocation on each, and a hash lookup on
+  /// every request served.
+  std::vector<std::uint32_t> last_request_seen_;
 
   // Adaptive steal amount (WsConfig::adaptive_steal_amount; DESIGN.md §14):
   // EWMA of nodes gained per successful steal; below the yield threshold the

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -11,6 +10,7 @@
 
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "support/open_table.hpp"
 #include "support/sim_time.hpp"
 #include "topo/latency.hpp"
 
@@ -110,98 +110,54 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
 
 /// Per-channel ordering state of a Network: for every (src, dst) channel
 /// with a delivery in flight, the channel's latest arrival time and its count
-/// of in-flight deliveries. One open-addressed table with linear probing and
-/// backward-shift deletion, so a send and a retirement each cost expected
-/// O(1) probes (a broadcast from one rank to every rank included), no slot
-/// ever holds a tombstone, and the storage grows only to the peak live
-/// channel count: steady-state churn allocates nothing.
+/// of in-flight deliveries, held in one support::OpenTable. A send and a
+/// retirement each cost expected O(1) probes (a broadcast from one rank to
+/// every rank included), the last retirement frees the channel's slot by
+/// backward shift, and the storage grows only to the peak live channel
+/// count: steady-state churn allocates nothing.
 class ChannelTable {
+  struct State {
+    support::SimTime last_arrival = 0;
+    std::uint32_t in_flight = 0;
+  };
+  using Table = support::OpenTable<State>;
+
  public:
   /// Key of the channel from src to dst. Ranks are 32-bit and src != dst,
   /// so no live key equals kNoKey.
   static std::uint64_t key(topo::Rank src, topo::Rank dst) noexcept {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
   }
-  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+  static constexpr std::uint64_t kNoKey = Table::kNoKey;
 
   /// Opens one more in-flight delivery on channel `key` with raw arrival
   /// time `arrival`, and returns it clamped to the channel's previous
-  /// arrival (MPI non-overtaking), which it then becomes.
+  /// arrival (MPI non-overtaking), which it then becomes. A channel with
+  /// no delivery in flight has no previous arrival to clamp to.
   support::SimTime admit(std::uint64_t key, support::SimTime arrival) {
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    std::size_t i = home(key);
-    for (; slots_[i].key != kNoKey; i = (i + 1) & mask_) {
-      Slot& slot = slots_[i];
-      if (slot.key == key) {
-        if (arrival < slot.last_arrival) arrival = slot.last_arrival;
-        slot.last_arrival = arrival;
-        ++slot.in_flight;
-        return arrival;
-      }
+    State& ch = table_[key];
+    if (ch.in_flight != 0 && arrival < ch.last_arrival) {
+      arrival = ch.last_arrival;
     }
-    slots_[i] = Slot{key, arrival, 1};
-    ++size_;
+    ch.last_arrival = arrival;
+    ++ch.in_flight;
     return arrival;
   }
 
   /// Closes one in-flight delivery on channel `key`; the last one frees
   /// the channel's slot.
   void retire(std::uint64_t key) {
-    std::size_t hole = home(key);
-    while (slots_[hole].key != key) {
-      DWS_CHECK(slots_[hole].key != kNoKey);  // retiring an unknown channel
-      hole = (hole + 1) & mask_;
-    }
-    DWS_DCHECK(slots_[hole].in_flight > 0);
-    if (--slots_[hole].in_flight != 0) return;
-    // Backward shift: walk the rest of the probe run and move each entry
-    // whose home slot lies cyclically at or before the hole into it, so
-    // every remaining key stays reachable from its home without tombstones.
-    for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kNoKey;
-         j = (j + 1) & mask_) {
-      if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
-    }
-    slots_[hole].key = kNoKey;
-    --size_;
+    Table::Slot* slot = table_.find(key);
+    DWS_CHECK(slot != nullptr);  // retiring an unknown channel
+    DWS_DCHECK(slot->value.in_flight > 0);
+    if (--slot->value.in_flight == 0) table_.erase(*slot);
   }
 
   /// Channels with at least one delivery in flight.
-  std::size_t size() const noexcept { return size_; }
+  std::size_t size() const noexcept { return table_.size(); }
 
  private:
-  struct Slot {
-    std::uint64_t key = kNoKey;
-    support::SimTime last_arrival = 0;
-    std::uint32_t in_flight = 0;
-  };
-
-  /// Fibonacci hashing: the top bits of key times 2^64/phi.
-  std::size_t home(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  /// Doubles the slot count (64 at first use), keeping the load factor at
-  /// or below one half.
-  void grow() {
-    std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
-    old.swap(slots_);
-    mask_ = slots_.size() - 1;
-    shift_ = 64 - std::countr_zero(slots_.size());
-    for (const Slot& slot : old) {
-      if (slot.key == kNoKey) continue;
-      std::size_t i = home(slot.key);
-      while (slots_[i].key != kNoKey) i = (i + 1) & mask_;
-      slots_[i] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  int shift_ = 64;
+  Table table_;
 };
 
 /// Point-to-point message transport between simulated ranks.

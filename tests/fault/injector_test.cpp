@@ -12,6 +12,12 @@ std::uint64_t key(std::uint32_t src, std::uint32_t dst) {
   return (static_cast<std::uint64_t>(src) << 32) | dst;
 }
 
+bool plan_eq(const SendPlan& a, const SendPlan& b) {
+  return a.drop == b.drop && a.duplicate == b.duplicate &&
+         a.latency_mult == b.latency_mult &&
+         a.dup_latency_mult == b.dup_latency_mult;
+}
+
 FaultConfig lossy() {
   FaultConfig f;
   f.drop_prob = 0.3;
@@ -183,11 +189,6 @@ TEST(Injector, ChannelInterleavingDoesNotChangePerChannelPlans) {
   const std::vector<std::uint64_t> chans = {key(0, 1), key(1, 0), key(2, 7),
                                             key(7, 2)};
   const int per_chan = 200;
-  auto plan_eq = [](const SendPlan& a, const SendPlan& b) {
-    return a.drop == b.drop && a.duplicate == b.duplicate &&
-           a.latency_mult == b.latency_mult &&
-           a.dup_latency_mult == b.dup_latency_mult;
-  };
 
   Injector round_robin(lossy(), 8);
   std::vector<std::vector<SendPlan>> rr(chans.size());
@@ -245,6 +246,54 @@ TEST(Injector, PerChannelStatsSumToTheGlobalStats) {
   EXPECT_EQ(dups, inj.stats().duplicated_messages);
   EXPECT_GT(drops, 0u);  // at 30% drop over 5000 sends this cannot be empty
   EXPECT_EQ(inj.channels().size(), 35u);  // 7 sources x 5 destinations
+}
+
+TEST(Injector, PlansSurviveTableGrowth) {
+  // Every ordered pair of 256 ranks: the channel table grows from 64 slots
+  // to 128K while the first round inserts 65,280 channels. A channel whose
+  // entry a growth lost or misplaced would restart its send counter in the
+  // next round, and its plans would diverge from a channel-major replay on
+  // a fresh injector.
+  constexpr std::uint32_t kRanks = 256;
+  constexpr int kRounds = 3;
+  std::vector<std::uint64_t> chans;
+  for (std::uint32_t src = 0; src < kRanks; ++src) {
+    for (std::uint32_t dst = 0; dst < kRanks; ++dst) {
+      if (src != dst) chans.push_back(key(src, dst));
+    }
+  }
+
+  Injector round_robin(lossy(), kRanks);
+  std::vector<SendPlan> plans(chans.size() * kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::size_t c = 0; c < chans.size(); ++c) {
+      plans[c * kRounds + static_cast<std::size_t>(r)] =
+          round_robin.plan_send(chans[c], MsgClass::kDroppable, 64);
+    }
+  }
+
+  Injector channel_major(lossy(), kRanks);
+  for (std::size_t c = 0; c < chans.size(); ++c) {
+    for (int r = 0; r < kRounds; ++r) {
+      ASSERT_TRUE(plan_eq(
+          channel_major.plan_send(chans[c], MsgClass::kDroppable, 64),
+          plans[c * kRounds + static_cast<std::size_t>(r)]))
+          << "channel " << c << " send " << r;
+    }
+  }
+
+  ASSERT_EQ(round_robin.channels().size(), chans.size());
+  std::size_t visited = 0;
+  for (const auto& [chan, state] : round_robin.channels()) {
+    ASSERT_EQ(state.sends, static_cast<std::uint64_t>(kRounds))
+        << "channel " << chan;
+    ++visited;
+  }
+  EXPECT_EQ(visited, chans.size());
+  EXPECT_EQ(round_robin.stats().dropped_messages,
+            channel_major.stats().dropped_messages);
+  EXPECT_EQ(round_robin.stats().duplicated_messages,
+            channel_major.stats().duplicated_messages);
 }
 
 TEST(Injector, StragglerCountIsExactAndDeterministic) {

@@ -498,6 +498,32 @@ TEST(PeerTrace, LossyVictimAnswersADuplicatedRequestOnlyOnce) {
   EXPECT_EQ(s.store().in_use(), 1u);  // one batch parked, one shipped
 }
 
+TEST(PeerTrace, LossyVictimFiltersDuplicatesAtBothEndsOfTheThiefRange) {
+  // The filter is indexed by the thief's job-local rank: thieves 0 and
+  // num_ranks-1 sit at its two ends. Each is answered once per id, however
+  // the duplicates of the two conversations interleave.
+  WsConfig cfg;
+  ScriptedPeer s(cfg, 1, 4, /*lossy=*/true);
+  s.peer().seed_root(node_at(0));
+  for (int i = 1; i < 100; ++i) s.peer().stack().push(node_at(1));
+  s.take();
+
+  s.peer().on_message(StealRequest{0, 1}, 50);
+  s.peer().on_message(StealRequest{3, 1}, 51);
+  s.peer().on_message(StealRequest{0, 1}, 52);
+  s.peer().on_message(StealRequest{3, 1}, 53);
+  s.peer().on_message(StealRequest{3, 2}, 54);
+  s.peer().on_message(StealRequest{0, 2}, 55);
+  s.peer().on_message(StealRequest{0, 2}, 56);
+  s.peer().on_message(StealRequest{3, 2}, 57);
+  EXPECT_EQ(s.take(),
+            Trace({"send to=0 resp{id=1,chunks=1,nodes=20} bytes=496 dup-only",
+                   "send to=3 resp{id=1,chunks=1,nodes=20} bytes=496 dup-only",
+                   "send to=3 resp{id=2,chunks=1,nodes=20} bytes=496 dup-only",
+                   "send to=0 resp{id=2,chunks=1,nodes=20} bytes=496 dup-only"}));
+  EXPECT_EQ(s.peer().stats().requests_served, 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Termination: token ring, generations, regeneration
 // ---------------------------------------------------------------------------
