@@ -22,7 +22,7 @@
 #include "exp/record.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "ws/builder.hpp"
+#include "ws/scheduler.hpp"
 
 namespace {
 
@@ -117,11 +117,11 @@ int main(int argc, char** argv) {
 
   // The base config: every axis mutates a copy of this. The tree and ranks
   // flags always produce an axis (single-valued axes are fine), so the
-  // builder's placeholder values here never survive expansion.
-  ws::RunConfigBuilder builder;
-  builder.tree(exp::split_list(tree).front()).ranks(1).chunk_size(4);
-  if (!no_congestion) builder.congestion(1.0);
-  auto base = builder.build_unchecked();
+  // placeholder tree and rank count here never survive expansion.
+  ws::RunConfig base;
+  base.num_ranks = 1;
+  base.ws.chunk_size = 4;
+  if (!no_congestion) base.enable_congestion(1.0);
 
   exp::SweepSpec sweep(base,
                        zip ? exp::SweepMode::kZip : exp::SweepMode::kCartesian);

@@ -1,5 +1,6 @@
 #include "proto/victim.hpp"
 
+#include <numeric>
 #include <vector>
 
 #include "support/check.hpp"
@@ -51,39 +52,24 @@ TofuSkewedSelector::TofuSkewedSelector(topo::Rank self,
       latency_(&latency),
       rng_(rank_seed(seed, self)) {
   DWS_CHECK(num_ranks_ >= 2);
-  for (topo::Rank j = 0; j < num_ranks_; ++j) {
-    if (j != self_) weight_sum_ += latency_->victim_weight(self_, j);
-  }
+  const Weight weight{latency_, self_};
+  std::vector<double> weights(num_ranks_);
+  for (topo::Rank j = 0; j < num_ranks_; ++j) weights[j] = weight(j);
+  weight_sum_ = std::accumulate(weights.begin(), weights.end(), 0.0);
   // Degenerate-allocation guard: if every victim weight underflowed to zero,
   // neither backend could ever draw — fail loudly here instead of spinning
   // in next() (the alias table would divide by zero just as silently).
   DWS_CHECK(weight_sum_ > 0.0 && "all victim weights are zero");
   if (num_ranks_ <= alias_table_max_ranks) {
-    std::vector<double> weights(num_ranks_);
-    for (topo::Rank j = 0; j < num_ranks_; ++j) {
-      weights[j] = j == self_ ? 0.0 : latency_->victim_weight(self_, j);
-    }
     alias_.emplace(weights);
+  } else {
+    rejection_.emplace(num_ranks_, 1.0, weight);
   }
 }
 
 topo::Rank TofuSkewedSelector::next() {
-  if (alias_.has_value()) {
-    return static_cast<topo::Rank>(alias_->sample(rng_));
-  }
-  // Rejection sampling with w_max = 1 (see header). The constructor
-  // guarantees a positive weight exists, so this accepts with probability 1;
-  // the iteration bound turns "astronomically unlikely or a bug" into a loud
-  // failure instead of a silent spin.
-  for (std::uint64_t iter = 0; iter < kMaxRejectionIterations; ++iter) {
-    const auto candidate = static_cast<topo::Rank>(rng_.next_below(num_ranks_));
-    if (candidate == self_) continue;
-    const double w = latency_->victim_weight(self_, candidate);
-    DWS_DCHECK(w > 0.0 && w <= 1.0);
-    if (rng_.next_double() < w) return candidate;
-  }
-  DWS_CHECK(false && "tofu rejection sampling failed to accept");
-  return self_;  // unreachable
+  return static_cast<topo::Rank>(alias_ ? alias_->sample(rng_)
+                                        : rejection_->sample(rng_));
 }
 
 double TofuSkewedSelector::probability(topo::Rank victim) const {
@@ -117,7 +103,11 @@ AdaptiveSkewedSelector::AdaptiveSkewedSelector(topo::Rank self,
     sum += base_[j];
   }
   DWS_CHECK(sum > 0.0 && "all victim weights are zero");
-  if (num_ranks_ <= config.alias_table_max_ranks) rebuild_alias();
+  if (num_ranks_ <= config.alias_table_max_ranks) {
+    rebuild_alias();
+  } else {
+    rejection_.emplace(num_ranks_, kSkewClamp, Weight{this});
+  }
 }
 
 double AdaptiveSkewedSelector::adaptive_weight(topo::Rank j) const {
@@ -149,21 +139,10 @@ topo::Rank AdaptiveSkewedSelector::next() {
     const auto draw = static_cast<topo::Rank>(rng_.next_below(num_ranks_ - 1));
     return draw >= self_ ? draw + 1 : draw;
   }
-  if (alias_.has_value()) {
-    return static_cast<topo::Rank>(alias_->sample(rng_));
-  }
-  // Rejection with envelope kSkewClamp: base weights are <= 1 and the skew
-  // is clamped to kSkewClamp, so a_j / kSkewClamp <= 1. Feedback lands in
-  // the very next draw — no rebuild step in this backend.
-  for (std::uint64_t iter = 0; iter < kMaxRejectionIterations; ++iter) {
-    const auto candidate = static_cast<topo::Rank>(rng_.next_below(num_ranks_));
-    if (candidate == self_) continue;
-    const double a = adaptive_weight(candidate);
-    if (a <= 0.0) continue;
-    if (rng_.next_double() * kSkewClamp < a) return candidate;
-  }
-  DWS_CHECK(false && "adaptive rejection sampling failed to accept");
-  return self_;  // unreachable
+  // The rejection backend reads the live weights, so feedback lands in the
+  // very next draw — no rebuild step there.
+  return static_cast<topo::Rank>(alias_ ? alias_->sample(rng_)
+                                        : rejection_->sample(rng_));
 }
 
 void AdaptiveSkewedSelector::on_steal_result(topo::Rank victim, bool success,

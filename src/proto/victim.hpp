@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "support/alias_table.hpp"
+#include "support/rejection_sampler.hpp"
 #include "support/rng.hpp"
 #include "topo/latency.hpp"
 #include "proto/config.hpp"
@@ -90,8 +91,8 @@ class UniformRandomSelector final : public VictimSelector {
 /// tests): a Walker alias table per rank — the paper's GSL approach — below
 /// `alias_table_max_ranks`, and rejection sampling above, because N ranks
 /// with N-entry tables is O(N^2) memory inside a single simulator process.
-/// Rejection exploits w <= 1 (nodes sit on an integer lattice, so e >= 1
-/// whenever nonzero).
+/// Rejection uses the envelope w_max = 1 (nodes sit on an integer lattice,
+/// so e >= 1 whenever nonzero).
 class TofuSkewedSelector final : public VictimSelector {
  public:
   TofuSkewedSelector(topo::Rank self, const topo::LatencyModel& latency,
@@ -100,18 +101,26 @@ class TofuSkewedSelector final : public VictimSelector {
 
   bool uses_alias_table() const noexcept { return alias_.has_value(); }
 
-  /// Bound on consecutive rejections before next() aborts (see victim.cpp).
-  static constexpr std::uint64_t kMaxRejectionIterations = 1'000'000;
-
   /// Normalised selection probability of `victim` (for tests and Fig. 8).
   double probability(topo::Rank victim) const;
 
  private:
+  /// w(self, j), and 0 for j = self.
+  struct Weight {
+    const topo::LatencyModel* latency;
+    topo::Rank self;
+    double operator()(std::size_t j) const {
+      const auto victim = static_cast<topo::Rank>(j);
+      return victim == self ? 0.0 : latency->victim_weight(self, victim);
+    }
+  };
+
   topo::Rank self_;
   topo::Rank num_ranks_;
   const topo::LatencyModel* latency_;
   support::Xoshiro256StarStar rng_;
   std::optional<support::AliasTable> alias_;  // index = rank (self has weight 0)
+  std::optional<support::RejectionSampler<Weight>> rejection_;
   double weight_sum_ = 0.0;                   // for probability()
 };
 
@@ -135,10 +144,15 @@ class TofuSkewedSelector final : public VictimSelector {
 /// adapt_refresh_interval feedback events below alias_table_max_ranks, and
 /// O(1)-memory rejection above, with envelope kSkewClamp (a_j <= kSkewClamp
 /// since w <= 1) folding each feedback update in immediately.
+///
+/// Not copyable or movable: the rejection backend's weight function points
+/// back at this object.
 class AdaptiveSkewedSelector final : public VictimSelector {
  public:
   AdaptiveSkewedSelector(topo::Rank self, const topo::LatencyModel& latency,
                          std::uint64_t seed, const WsConfig& config);
+  AdaptiveSkewedSelector(const AdaptiveSkewedSelector&) = delete;
+  AdaptiveSkewedSelector& operator=(const AdaptiveSkewedSelector&) = delete;
   topo::Rank next() override;
   void on_steal_result(topo::Rank victim, bool success,
                        support::SimTime rtt) override;
@@ -149,14 +163,20 @@ class AdaptiveSkewedSelector final : public VictimSelector {
 
   /// Skew clamp; doubles as the rejection envelope (weights stay <= this).
   static constexpr double kSkewClamp = 8.0;
-  static constexpr std::uint64_t kMaxRejectionIterations =
-      TofuSkewedSelector::kMaxRejectionIterations;
 
   /// Current normalised selection probability of `victim`, epsilon mix
   /// included (for tests; tracks the feedback state as it evolves).
   double probability(topo::Rank victim) const;
 
  private:
+  /// adaptive_weight(j): the live weights, 0 for self.
+  struct Weight {
+    const AdaptiveSkewedSelector* selector;
+    double operator()(std::size_t j) const {
+      return selector->adaptive_weight(static_cast<topo::Rank>(j));
+    }
+  };
+
   double adaptive_weight(topo::Rank j) const;
   void rebuild_alias();
 
@@ -173,6 +193,7 @@ class AdaptiveSkewedSelector final : public VictimSelector {
   std::vector<double> rtt_ewma_;      // r_j in ns; 0 until first observation
   double global_rtt_ewma_ = 0.0;      // across all victims; 0 until observed
   std::optional<support::AliasTable> alias_;
+  std::optional<support::RejectionSampler<Weight>> rejection_;
 };
 
 /// Two-level hierarchical selection (related-work style, §VI): alternate

@@ -16,15 +16,14 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
   DWS_CHECK(total > 0.0);
 
-  norm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) norm_[i] = weights[i] / total;
-
   // Vose's stable variant: partition scaled probabilities into small/large
   // worklists and pair each small bucket with a large donor.
   prob_.assign(n, 0.0);
   alias_.assign(n, 0);
   std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = norm_[i] * static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scaled[i] = (weights[i] / total) * static_cast<double>(n);
+  }
 
   std::vector<std::uint32_t> small;
   std::vector<std::uint32_t> large;
@@ -49,11 +48,6 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   // Leftovers are 1.0 up to rounding.
   for (std::uint32_t i : large) prob_[i] = 1.0;
   for (std::uint32_t i : small) prob_[i] = 1.0;
-}
-
-double AliasTable::probability(std::size_t i) const {
-  DWS_CHECK(i < norm_.size());
-  return norm_[i];
 }
 
 std::size_t AliasTable::sample(Xoshiro256StarStar& rng) const noexcept {

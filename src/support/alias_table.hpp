@@ -23,22 +23,11 @@ class AliasTable {
 
   std::size_t size() const noexcept { return prob_.size(); }
 
-  /// Probability of drawing index i (normalised, for tests/inspection).
-  double probability(std::size_t i) const;
-
   std::size_t sample(Xoshiro256StarStar& rng) const noexcept;
-
-  /// Memory footprint in bytes, reported by the ablation bench comparing
-  /// alias tables against rejection sampling at large rank counts.
-  std::size_t memory_bytes() const noexcept {
-    return prob_.size() * (sizeof(double) + sizeof(std::uint32_t)) +
-           norm_.size() * sizeof(double);
-  }
 
  private:
   std::vector<double> prob_;          // acceptance threshold per bucket
   std::vector<std::uint32_t> alias_;  // fallback index per bucket
-  std::vector<double> norm_;          // normalised weights (kept for probability())
 };
 
 }  // namespace dws::support

@@ -1,7 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"

@@ -70,13 +70,7 @@ ws::RankPause& SvcPort::pause() noexcept { return mux->pause(); }
 // ---- MuxWorker -------------------------------------------------------------
 
 MuxWorker::MuxWorker(topo::Rank rank, ServiceContext& ctx)
-    : rank_(rank), ctx_(ctx) {}
-
-std::size_t MuxWorker::pending_messages() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [job, msgs] : pending_) n += msgs.size();
-  return n;
-}
+    : rank_(rank), ctx_(ctx), workers_(ctx.plan->jobs.size()) {}
 
 void MuxWorker::on_envelope(const Envelope& env) {
   if (const auto* msg = std::get_if<proto::Message>(&env.body)) {
@@ -93,19 +87,19 @@ void MuxWorker::on_envelope(const Envelope& env) {
 }
 
 void MuxWorker::route_proto(JobId job, const proto::Message& msg) {
-  const auto it = workers_.find(job);
-  if (it == workers_.end()) {
+  JobWorker* w = workers_[job].get();
+  if (w == nullptr) {
     // Workers are never destroyed, so no worker means the admit has not
     // arrived yet (fault jitter can let a peer's first request overtake the
     // controller's admit — different channels). Park it until admission.
-    pending_[job].push_back(msg);
+    pending_.emplace_back(job, msg);
     return;
   }
-  it->second->on_message(msg);
+  w->on_message(msg);
 }
 
 void MuxWorker::admit(const JobAdmit& a) {
-  DWS_CHECK(workers_.find(a.job) == workers_.end());
+  DWS_CHECK(workers_[a.job] == nullptr);
   DWS_CHECK(rank_ >= a.base && rank_ - a.base < a.width);
   const JobSpec& spec = ctx_.plan->jobs[a.job];
   DWS_CHECK(spec.id == a.job);
@@ -113,28 +107,29 @@ void MuxWorker::admit(const JobAdmit& a) {
       ctx_, SvcPort{this, a.job, a.base}, rank_, rank_ - a.base, a.width,
       spec.tree, &ctx_.plan->job_latency(a.base), /*observer=*/nullptr);
   JobWorker& w = *owned;
-  workers_.emplace(a.job, std::move(owned));
+  workers_[a.job] = std::move(owned);
   // Park before start(): a parked local rank 0 still seeds the root but
   // immediately relinquishes it to the handoff rank.
   if (!a.leased) w.set_lease(false, a.handoff);
   w.start();
-  const auto pit = pending_.find(a.job);
-  if (pit != pending_.end()) {
-    std::vector<proto::Message> msgs = std::move(pit->second);
-    pending_.erase(pit);
-    for (const proto::Message& m : msgs) {
-      if (w.done()) break;
-      w.on_message(m);
-    }
+  std::vector<proto::Message> msgs;
+  std::erase_if(pending_, [&](const std::pair<JobId, proto::Message>& p) {
+    if (p.first != a.job) return false;
+    msgs.push_back(p.second);
+    return true;
+  });
+  for (const proto::Message& m : msgs) {
+    if (w.done()) break;
+    w.on_message(m);
   }
 }
 
 void MuxWorker::lease(const LeaseUpdate& u) {
   // The admit precedes every lease on the controller's channel (reliable,
   // non-overtaking), so the worker must exist.
-  const auto it = workers_.find(u.job);
-  DWS_CHECK(it != workers_.end());
-  it->second->set_lease(u.leased, u.handoff);
+  JobWorker* w = workers_[u.job].get();
+  DWS_CHECK(w != nullptr);
+  w->set_lease(u.leased, u.handoff);
 }
 
 // ---- Controller ------------------------------------------------------------

@@ -4,7 +4,7 @@
 #include <deque>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -159,13 +159,15 @@ using JobWorker = ws::Worker<SvcPort>;
 // ---- Per-rank multiplexer --------------------------------------------------
 
 /// One global rank of the service pool: owns one JobWorker per resident job
-/// and demultiplexes envelopes onto them. Workers persist for the whole run
-/// once created (envelopes to done workers are dropped, exactly like a
-/// single-job Worker drops post-termination stragglers); proto traffic
-/// arriving before the job's admit — possible under fault jitter, where a
-/// peer's first steal request can overtake the controller's admit on a
-/// different channel — parks in a per-job pending buffer drained at
-/// admission.
+/// and demultiplexes envelopes onto them. Job ids index `plan->jobs`, so the
+/// workers sit in an id-indexed table: 8 bytes per (rank, job) pair of the
+/// whole stream, in place of a hash lookup per delivered message. Workers
+/// persist for the whole run once created (envelopes to done workers are
+/// dropped, exactly like a single-job Worker drops post-termination
+/// stragglers); proto traffic arriving before the job's admit — possible
+/// under fault jitter, where a peer's first steal request can overtake the
+/// controller's admit on a different channel — parks in a pending list
+/// drained at admission.
 class MuxWorker final {
  public:
   MuxWorker(topo::Rank rank, ServiceContext& ctx);
@@ -184,20 +186,20 @@ class MuxWorker final {
   /// crosses the scheduled start first.
   ws::RankPause& pause() noexcept { return pause_; }
 
-  const std::unordered_map<JobId, std::unique_ptr<JobWorker>>& workers()
-      const noexcept {
-    return workers_;
+  /// The rank's worker for `job`, or null before its admit.
+  const JobWorker* worker(JobId job) const noexcept {
+    return workers_[job].get();
   }
-  std::size_t pending_messages() const noexcept;
+  std::size_t pending_messages() const noexcept { return pending_.size(); }
 
  private:
   void route_proto(JobId job, const proto::Message& msg);
 
   topo::Rank rank_;
   ServiceContext& ctx_;
-  std::unordered_map<JobId, std::unique_ptr<JobWorker>> workers_;
-  /// Proto messages that arrived before their job's admit.
-  std::unordered_map<JobId, std::vector<proto::Message>> pending_;
+  std::vector<std::unique_ptr<JobWorker>> workers_;  ///< index = job id
+  /// Proto messages that arrived before their job's admit, in arrival order.
+  std::vector<std::pair<JobId, proto::Message>> pending_;
   ws::RankPause pause_;
 };
 

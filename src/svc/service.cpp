@@ -91,8 +91,8 @@ struct SvcBinding {
     result.per_rank.assign(config.num_ranks, metrics::RankStats{});
     result.jobs.reserve(plan.jobs.size());
 
-    // Per-job accumulation in job-id order. Iterating job ids (not the muxes'
-    // hash maps) keeps the double sums deterministic.
+    // Per-job accumulation in job-id order keeps the double sums
+    // deterministic.
     for (const JobSpec& spec : plan.jobs) {
       const JobRuntime& rt = runtimes[spec.id];
       DWS_CHECK(rt.admitted());
@@ -110,9 +110,9 @@ struct SvcBinding {
 
       support::SimTime first = -1;
       for (topo::Rank r = rt.base; r < rt.base + rt.width; ++r) {
-        const auto it = mux(r).workers().find(spec.id);
-        DWS_CHECK(it != mux(r).workers().end());
-        const JobWorker& w = *it->second;
+        const JobWorker* worker = mux(r).worker(spec.id);
+        DWS_CHECK(worker != nullptr);
+        const JobWorker& w = *worker;
         DWS_CHECK(w.done());
         DWS_CHECK(w.stack_size() == 0);
         const metrics::RankStats& s = w.stats();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "support/alias_table.hpp"
@@ -47,6 +48,7 @@ TEST(RejectionSampler, MatchesWeightRatios) {
 TEST(RejectionSampler, AgreesWithAliasTable) {
   std::vector<double> w;
   for (int i = 1; i <= 32; ++i) w.push_back(1.0 / std::sqrt(i));
+  const double total = std::accumulate(w.begin(), w.end(), 0.0);
   AliasTable alias(w);
   RejectionSampler rej(w.size(), 1.0, [&](std::size_t i) { return w[i]; });
 
@@ -60,9 +62,36 @@ TEST(RejectionSampler, AgreesWithAliasTable) {
     ++cb[rej.sample(rng_b)];
   }
   for (std::size_t i = 0; i < w.size(); ++i) {
-    const double e = alias.probability(i) * draws;
+    const double e = w[i] / total * draws;
     EXPECT_NEAR(ca[i], e, 5.0 * std::sqrt(e)) << i;
     EXPECT_NEAR(cb[i], e, 5.0 * std::sqrt(e)) << i;
+  }
+}
+
+/// The draw protocol the skewed victim selectors' streams rest on: one index
+/// per candidate, a zero-weight candidate (the thief itself) skipped before
+/// any coin is drawn, and one coin per positive-weight candidate. A
+/// hand-written loop over a second generator must pick the same indices and
+/// leave that generator in the same state.
+TEST(RejectionSampler, DrawsOneIndexPerCandidateAndOneCoinPerPositiveWeight) {
+  const std::vector<double> w{0.5, 0.0, 1.0, 0.25, 0.0, 0.125, 0.75};
+  for (const double w_max : {1.0, 8.0}) {
+    RejectionSampler s(w.size(), w_max, [&](std::size_t i) { return w[i]; });
+    Xoshiro256StarStar rng(41);
+    Xoshiro256StarStar ref(41);
+    for (int i = 0; i < 20000; ++i) {
+      std::size_t expected = 0;
+      for (;;) {
+        const auto c = static_cast<std::size_t>(ref.next_below(w.size()));
+        if (w[c] <= 0.0) continue;
+        if (ref.next_double() * w_max < w[c]) {
+          expected = c;
+          break;
+        }
+      }
+      ASSERT_EQ(s.sample(rng), expected) << "w_max " << w_max << " draw " << i;
+    }
+    EXPECT_EQ(rng.next(), ref.next()) << "w_max " << w_max;
   }
 }
 

@@ -24,6 +24,16 @@ TEST(Catalogue, LookupByName) {
   EXPECT_DOUBLE_EQ(t.q, 0.499995);
 }
 
+TEST(Catalogue, FindTreeReturnsNullForUnknownNames) {
+  // The non-aborting lookup CLIs and sweep specs build configs with.
+  EXPECT_EQ(find_tree("NO_SUCH_TREE"), nullptr);
+  EXPECT_EQ(find_tree(""), nullptr);
+  const TreeParams* t = find_tree("TEST_BIN_SMALL");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t, &tree_by_name("TEST_BIN_SMALL"));
+  EXPECT_EQ(t->name, "TEST_BIN_SMALL");
+}
+
 TEST(Catalogue, PaperTreesMatchTableOne) {
   // Table I of the paper.
   const auto& t3xxl = tree_by_name("T3XXL");

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "uts/params.hpp"
@@ -239,6 +240,10 @@ TEST_F(VictimTest, PolicyNamesMatchPaper) {
 // Adaptive feedback selector (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
+// The rejection backend's weight function points back at the selector.
+static_assert(!std::is_copy_constructible_v<proto::AdaptiveSkewedSelector> &&
+              !std::is_move_constructible_v<proto::AdaptiveSkewedSelector>);
+
 TEST_F(VictimTest, AdaptiveNeverReturnsSelfOnEitherBackend) {
   topo::JobLayout layout(machine_, 48, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
@@ -340,6 +345,109 @@ TEST_F(VictimTest, AdaptiveSampleFrequenciesTrackTheLiveWeights) {
       EXPECT_NEAR(counts[j], expected, 5.0 * std::sqrt(expected + 1.0))
           << "threshold=" << threshold << " victim=" << j;
     }
+  }
+}
+
+TEST_F(VictimTest, AdaptiveRejectionBackendFoldsFeedbackIntoTheNextDraw) {
+  // The rejection backend's weight function reads the live feedback state,
+  // so no rebuild stands between feedback and the draws; the alias backend
+  // samples its last table until adapt_refresh_interval feedback events.
+  topo::JobLayout layout(machine_, 48, topo::Placement::kOnePerNode);
+  topo::LatencyModel latency(layout);
+  WsConfig cfg;
+  cfg.victim_policy = VictimPolicy::kAdaptive;
+  cfg.adapt_refresh_interval = 1000;
+  for (std::uint32_t threshold : {2048u, 1u}) {
+    cfg.alias_table_max_ranks = threshold;
+    proto::AdaptiveSkewedSelector s(3, latency, 9, cfg);
+    std::vector<double> before(48);
+    for (topo::Rank j = 0; j < 48; ++j) before[j] = s.probability(j);
+    for (int i = 0; i < 8; ++i) {
+      s.on_steal_result(1, false, 50'000);
+      s.on_steal_result(10, true, 800);
+    }
+    ASSERT_LT(s.probability(1), before[1] / 2.0);
+    std::vector<int> counts(48, 0);
+    const int draws = 240000;
+    for (int i = 0; i < draws; ++i) ++counts[s.next()];
+    for (topo::Rank j = 0; j < 48; ++j) {
+      const double p = threshold == 1u ? s.probability(j) : before[j];
+      const double expected = p * draws;
+      EXPECT_NEAR(counts[j], expected, 5.0 * std::sqrt(expected + 1.0))
+          << "threshold=" << threshold << " victim=" << j;
+    }
+  }
+}
+
+/// Pins the first draws of both skewed selectors on both sampling backends,
+/// on 1/N and 8G layouts and several thief ranks. No golden record holds a
+/// Tofu run, so this is what holds the draw streams fixed across refactors
+/// of the sampling layer: the hashes were captured before the rejection
+/// loops were shared and the alias table lost its normalised copy. Adaptive
+/// gets scripted feedback after every draw and refreshes its alias table
+/// every three feedback events.
+TEST_F(VictimTest, SkewedDrawStreamsArePinned) {
+  struct Case {
+    topo::Placement placement;
+    topo::Rank self;
+    VictimPolicy policy;
+    bool alias;
+    std::uint64_t hash;
+  };
+  constexpr auto k1N = topo::Placement::kOnePerNode;
+  constexpr auto k8G = topo::Placement::kGrouped;
+  constexpr auto kTofu = VictimPolicy::kTofuSkewed;
+  constexpr auto kAdaptive = VictimPolicy::kAdaptive;
+  const Case cases[] = {
+      {k1N, 0, kTofu, true, 0xe048c30df1c681efull},
+      {k1N, 0, kTofu, false, 0xf801c5faa5ac2c2aull},
+      {k1N, 0, kAdaptive, true, 0xac19e3d8102596d4ull},
+      {k1N, 0, kAdaptive, false, 0xab1dd428678be8a1ull},
+      {k1N, 77, kTofu, true, 0x22b6968589fa61f9ull},
+      {k1N, 77, kTofu, false, 0x8cd00aacaeed97cdull},
+      {k1N, 77, kAdaptive, true, 0xbb9be0ac7e4bcb4bull},
+      {k1N, 77, kAdaptive, false, 0xbd58400a5125ed5dull},
+      {k1N, 255, kTofu, true, 0x93a3f03cd2b22331ull},
+      {k1N, 255, kTofu, false, 0x991f779d1a504af2ull},
+      {k1N, 255, kAdaptive, true, 0xa6b1c52bf0ee152dull},
+      {k1N, 255, kAdaptive, false, 0x7a77029cc3442376ull},
+      {k8G, 0, kTofu, true, 0x18ae0cf3d2aedc21ull},
+      {k8G, 0, kTofu, false, 0xb7b5cd6a189a9f45ull},
+      {k8G, 0, kAdaptive, true, 0xacd201c55edabda8ull},
+      {k8G, 0, kAdaptive, false, 0x311eaddcc724d6c6ull},
+      {k8G, 77, kTofu, true, 0x36e8d3775854175eull},
+      {k8G, 77, kTofu, false, 0x2851bce0656fddcfull},
+      {k8G, 77, kAdaptive, true, 0xf2fed7761299339dull},
+      {k8G, 77, kAdaptive, false, 0x1144ab43cf0872b6ull},
+      {k8G, 255, kTofu, true, 0xe9793f04559b52eeull},
+      {k8G, 255, kTofu, false, 0x946d98b4b66c71d6ull},
+      {k8G, 255, kAdaptive, true, 0x7790c98d0fc1f523ull},
+      {k8G, 255, kAdaptive, false, 0xa422f46e0e1f8800ull},
+  };
+
+  constexpr topo::Rank kRanks = 256;
+  constexpr int kDraws = 3000;
+  for (const Case& c : cases) {
+    topo::JobLayout layout(machine_, kRanks, c.placement,
+                           c.placement == k1N ? 1u : 8u);
+    topo::LatencyModel latency(layout);
+    WsConfig cfg;
+    cfg.victim_policy = c.policy;
+    cfg.seed = 17;
+    cfg.alias_table_max_ranks = c.alias ? kRanks : 1;
+    cfg.adapt_refresh_interval = 3;
+    auto s = proto::make_selector(cfg, c.self, latency);
+    std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over the victims
+    for (int i = 0; i < kDraws; ++i) {
+      const topo::Rank v = s->next();
+      hash = (hash ^ v) * 0x100000001b3ull;
+      const support::SimTime rtt = i % 17 == 0 ? 0 : 400 + 53 * (i % 13);
+      s->on_steal_result(v, i % 4 != 0, rtt);
+    }
+    EXPECT_EQ(hash, c.hash)
+        << to_string(c.policy) << (c.alias ? " alias " : " rejection ")
+        << (c.placement == k1N ? "1/N" : "8G") << " self " << c.self
+        << ": 0x" << std::hex << hash;
   }
 }
 
