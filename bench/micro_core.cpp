@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <utility>
@@ -171,22 +172,49 @@ BENCHMARK(BM_AliasTableSample);
 
 void BM_VictimSelectors(benchmark::State& state) {
   static topo::TofuMachine machine;
-  static topo::JobLayout layout(machine, 1024, topo::Placement::kOnePerNode);
-  static topo::LatencyModel latency(layout);
+  static topo::JobLayout one_per_node(machine, 1024,
+                                      topo::Placement::kOnePerNode);
+  static topo::JobLayout grouped(machine, 1024, topo::Placement::kGrouped, 8);
+  static topo::LatencyModel latency_1n(one_per_node);
+  static topo::LatencyModel latency_8g(grouped);
   ws::WsConfig cfg;
   cfg.victim_policy = static_cast<ws::VictimPolicy>(state.range(0));
   cfg.alias_table_max_ranks = static_cast<std::uint32_t>(state.range(1));
-  auto selector = proto::make_selector(cfg, 0, latency);
+  auto selector = proto::make_selector(
+      cfg, 0, state.range(2) == 8 ? latency_8g : latency_1n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector->next());
   }
 }
 BENCHMARK(BM_VictimSelectors)
-    ->ArgNames({"policy", "alias_max"})
-    ->Args({0, 2048})   // round robin
-    ->Args({1, 2048})   // uniform random
-    ->Args({2, 2048})   // tofu via alias table
-    ->Args({2, 16});    // tofu via rejection sampling
+    ->ArgNames({"policy", "alias_max", "ppn"})
+    ->Args({0, 2048, 1})   // round robin
+    ->Args({1, 2048, 1})   // uniform random
+    ->Args({2, 2048, 1})   // tofu via alias table
+    ->Args({2, 16, 1})     // tofu via rejection sampling
+    ->Args({2, 2048, 8});  // tofu via node table, then rank in node (8G)
+
+// make_selector for every rank of an 8G, 1024-rank Tofu job on a fresh
+// latency model, so each iteration also builds the job's node tables, as
+// every run's set-up does.
+void BM_TofuSelectorsBuild(benchmark::State& state) {
+  static topo::TofuMachine machine;
+  static topo::JobLayout layout(machine, 1024, topo::Placement::kGrouped, 8);
+  ws::WsConfig cfg;
+  cfg.victim_policy = ws::VictimPolicy::kTofuSkewed;
+  for (auto _ : state) {
+    const topo::LatencyModel latency(layout);
+    std::vector<std::unique_ptr<proto::VictimSelector>> selectors;
+    selectors.reserve(layout.num_ranks());
+    for (topo::Rank r = 0; r < layout.num_ranks(); ++r) {
+      selectors.push_back(proto::make_selector(cfg, r, latency));
+    }
+    benchmark::DoNotOptimize(selectors.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          layout.num_ranks());
+}
+BENCHMARK(BM_TofuSelectorsBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_ChunkStackChurn(benchmark::State& state) {
   proto::ChunkStack stack(20);

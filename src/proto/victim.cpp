@@ -1,6 +1,5 @@
 #include "proto/victim.hpp"
 
-#include <numeric>
 #include <vector>
 
 #include "support/check.hpp"
@@ -52,24 +51,35 @@ TofuSkewedSelector::TofuSkewedSelector(topo::Rank self,
       latency_(&latency),
       rng_(rank_seed(seed, self)) {
   DWS_CHECK(num_ranks_ >= 2);
-  const Weight weight{latency_, self_};
-  std::vector<double> weights(num_ranks_);
-  for (topo::Rank j = 0; j < num_ranks_; ++j) weights[j] = weight(j);
-  weight_sum_ = std::accumulate(weights.begin(), weights.end(), 0.0);
+  nodes_ = &latency.node_tables();
+  node_ = nodes_->node_of(self_);
+  position_ = nodes_->position_of(self_);
+  // Build the table first: it sums the same weight row for the total.
+  if (num_ranks_ <= alias_table_max_ranks) table_ = &nodes_->table(node_);
+  weight_sum_ = nodes_->total(node_);
   // Degenerate-allocation guard: if every victim weight underflowed to zero,
   // neither backend could ever draw — fail loudly here instead of spinning
-  // in next() (the alias table would divide by zero just as silently).
+  // in next().
   DWS_CHECK(weight_sum_ > 0.0 && "all victim weights are zero");
-  if (num_ranks_ <= alias_table_max_ranks) {
-    alias_.emplace(weights);
-  } else {
-    rejection_.emplace(num_ranks_, 1.0, weight);
+  if (table_ == nullptr) {
+    rejection_.emplace(num_ranks_, 1.0, Weight{latency_, self_});
   }
 }
 
 topo::Rank TofuSkewedSelector::next() {
-  return static_cast<topo::Rank>(alias_ ? alias_->sample(rng_)
-                                        : rejection_->sample(rng_));
+  if (table_ == nullptr) {
+    return static_cast<topo::Rank>(rejection_->sample(rng_));
+  }
+  // A node, then a rank uniformly within it, stepping over self on its own
+  // node; a node with one candidate costs no draw.
+  const auto node = static_cast<std::uint32_t>(table_->sample(rng_));
+  const bool own = node == node_;
+  const std::uint32_t candidates = nodes_->ranks_on(node) - (own ? 1 : 0);
+  auto pick = candidates == 1
+                  ? 0u
+                  : static_cast<std::uint32_t>(rng_.next_below(candidates));
+  if (own && pick >= position_) ++pick;
+  return nodes_->ranks(node)[pick];
 }
 
 double TofuSkewedSelector::probability(topo::Rank victim) const {

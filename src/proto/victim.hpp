@@ -87,19 +87,26 @@ class UniformRandomSelector final : public VictimSelector {
 /// proportional to w(i,j) = 1/e(i,j) (1 if e = 0), e being the 6D Euclidean
 /// distance on the Tofu network.
 ///
-/// Two interchangeable sampling backends (verified equal in distribution by
-/// tests): a Walker alias table per rank — the paper's GSL approach — below
-/// `alias_table_max_ranks`, and rejection sampling above, because N ranks
-/// with N-entry tables is O(N^2) memory inside a single simulator process.
-/// Rejection uses the envelope w_max = 1 (nodes sit on an integer lattice,
-/// so e >= 1 whenever nonzero).
+/// Two sampling backends, equal in distribution (verified by tests):
+///  * up to `alias_table_max_ranks` ranks, a two-stage draw over the job's
+///    shared topo::NodeTables: a node from the thief node's Walker alias
+///    table (the paper's GSL discrete table, over nodes instead of ranks),
+///    then a rank uniformly within that node, stepping over self; a node
+///    with one candidate costs no RNG draw. All ranks of a node share one
+///    table, so a job holds nodes^2 x 12 bytes of tables (0.19 MB for 1024
+///    ranks at 8 per node), where one N-entry table per rank held N^2 x 12;
+///  * above it, rejection sampling over ranks with the envelope w_max = 1
+///    (nodes sit on an integer lattice, so e >= 1 whenever nonzero). It keeps
+///    no table at all: at one rank per node the node tables are still
+///    N^2 x 12 bytes (0.8 GB at 8192 ranks) inside a single simulator
+///    process, where each real MPI rank held one N-entry table.
 class TofuSkewedSelector final : public VictimSelector {
  public:
   TofuSkewedSelector(topo::Rank self, const topo::LatencyModel& latency,
                      std::uint64_t seed, std::uint32_t alias_table_max_ranks);
   topo::Rank next() override;
 
-  bool uses_alias_table() const noexcept { return alias_.has_value(); }
+  bool uses_alias_table() const noexcept { return table_ != nullptr; }
 
   /// Normalised selection probability of `victim` (for tests and Fig. 8).
   double probability(topo::Rank victim) const;
@@ -118,10 +125,13 @@ class TofuSkewedSelector final : public VictimSelector {
   topo::Rank self_;
   topo::Rank num_ranks_;
   const topo::LatencyModel* latency_;
+  const topo::NodeTables* nodes_ = nullptr;
+  std::uint32_t node_ = 0;      // self's job-local node
+  std::uint32_t position_ = 0;  // self's index among its node's ranks
   support::Xoshiro256StarStar rng_;
-  std::optional<support::AliasTable> alias_;  // index = rank (self has weight 0)
+  const support::AliasTable* table_ = nullptr;  // node_'s table (alias backend)
   std::optional<support::RejectionSampler<Weight>> rejection_;
-  double weight_sum_ = 0.0;                   // for probability()
+  double weight_sum_ = 0.0;  // node_'s row total, for probability()
 };
 
 /// Feedback-driven distance skew (DESIGN.md §14): victim j's weight is the

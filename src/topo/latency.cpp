@@ -1,6 +1,8 @@
 #include "topo/latency.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "support/check.hpp"
@@ -32,8 +34,75 @@ std::vector<LatencySampleBin> sample_bins_from_histogram(
   return bins;
 }
 
+namespace {
+
+/// w(from, to) = 1/e(from, to), or 1 when e = 0.
+double skew_weight(const JobLayout& layout, Rank from, Rank to) {
+  const double e =
+      layout.machine().euclidean(layout.coord_of(from), layout.coord_of(to));
+  return e != 0.0 ? 1.0 / e : 1.0;
+}
+
+double sum(const std::vector<double>& w) {
+  return std::accumulate(w.begin(), w.end(), 0.0);
+}
+
+}  // namespace
+
+NodeTables::NodeTables(const JobLayout& layout) : layout_(&layout) {
+  const Rank n = layout.num_ranks();
+  node_of_.resize(n);
+  std::unordered_map<NodeId, std::uint32_t> index;
+  for (Rank r = 0; r < n; ++r) {
+    const auto next = static_cast<std::uint32_t>(index.size());
+    node_of_[r] = index.try_emplace(layout.node_of(r), next).first->second;
+  }
+  offsets_.assign(index.size() + 1, 0);
+  for (Rank r = 0; r < n; ++r) ++offsets_[node_of_[r] + 1];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+  position_.resize(n);
+  ranks_.resize(n);
+  for (Rank r = 0; r < n; ++r) {
+    const std::uint32_t a = node_of_[r];
+    position_[r] = fill[a] - offsets_[a];
+    ranks_[fill[a]++] = r;
+  }
+  rows_ = std::make_unique<Row[]>(index.size());
+}
+
+std::vector<double> NodeTables::weights(std::uint32_t a) const {
+  // One weight per node pair, taken between the nodes' lowest ranks; on
+  // node a itself e = 0, so each co-located victim weighs 1.
+  std::vector<double> w(num_nodes());
+  for (std::uint32_t b = 0; b < w.size(); ++b) {
+    const std::uint32_t victims = ranks_on(b) - (b == a ? 1 : 0);
+    w[b] = skew_weight(*layout_, *ranks(a), *ranks(b)) *
+           static_cast<double>(victims);
+  }
+  return w;
+}
+
+double NodeTables::total(std::uint32_t a) const {
+  Row& row = rows_[a];
+  std::call_once(row.total_once, [&] { row.total = sum(weights(a)); });
+  return row.total;
+}
+
+const support::AliasTable& NodeTables::table(std::uint32_t a) const {
+  Row& row = rows_[a];
+  std::call_once(row.table_once, [&] {
+    const std::vector<double> w = weights(a);
+    std::call_once(row.total_once, [&] { row.total = sum(w); });
+    row.table.emplace(w);
+  });
+  return *row.table;
+}
+
 LatencyModel::LatencyModel(const JobLayout& layout, LatencyParams params)
-    : layout_(&layout), params_(std::move(params)) {
+    : layout_(&layout),
+      params_(std::move(params)),
+      node_tables_(std::make_shared<SharedNodeTables>()) {
   DWS_CHECK(params_.same_node >= 0);
   DWS_CHECK(params_.same_blade >= params_.same_node);
   DWS_CHECK(params_.network_base >= 0);
@@ -126,8 +195,13 @@ double LatencyModel::euclidean(Rank r1, Rank r2) const {
 }
 
 double LatencyModel::victim_weight(Rank from, Rank to) const {
-  const double e = euclidean(from, to);
-  return e != 0.0 ? 1.0 / e : 1.0;
+  return skew_weight(*layout_, from, to);
+}
+
+const NodeTables& LatencyModel::node_tables() const {
+  std::call_once(node_tables_->once,
+                 [this] { node_tables_->tables.emplace(*layout_); });
+  return *node_tables_->tables;
 }
 
 }  // namespace dws::topo

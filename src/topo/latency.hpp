@@ -1,8 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
+#include "support/alias_table.hpp"
 #include "support/sim_time.hpp"
 #include "topo/allocation.hpp"
 
@@ -63,9 +67,65 @@ struct Route {
   bool same_node = false;        ///< shared-memory transport, no links
 };
 
+/// The distance-skewed victim distribution of one job, grouped by node. The
+/// paper's weight w(i,j) depends only on the nodes of i and j, so every rank
+/// of a node draws from the same distribution over nodes: thief node A
+/// weighs node B != A by w(A,B) x (ranks on B), and itself by (ranks on A) - 1
+/// (co-located victims have w = 1). A draw picks a node from A's alias table,
+/// then a rank uniformly within it. Nodes are numbered job-locally in order
+/// of their lowest rank, so at one rank per node node i holds rank i.
+///
+/// The rank index is built at construction; each node's weight total and
+/// alias table on first request, thread-safely, so a job that draws for a
+/// few thieves pays for a few rows. A full set of tables takes nodes^2 x 12
+/// bytes.
+class NodeTables {
+ public:
+  explicit NodeTables(const JobLayout& layout);
+  // Selectors hold pointers into the tables.
+  NodeTables(const NodeTables&) = delete;
+  NodeTables& operator=(const NodeTables&) = delete;
+
+  std::uint32_t num_nodes() const noexcept {
+    return static_cast<std::uint32_t>(offsets_.size() - 1);
+  }
+  /// Job-local node of rank r.
+  std::uint32_t node_of(Rank r) const { return node_of_[r]; }
+  /// Position of rank r among its node's ranks.
+  std::uint32_t position_of(Rank r) const { return position_[r]; }
+  /// The ranks on node a, ascending: ranks(a)[0 .. ranks_on(a)).
+  const Rank* ranks(std::uint32_t a) const { return &ranks_[offsets_[a]]; }
+  std::uint32_t ranks_on(std::uint32_t a) const {
+    return offsets_[a + 1] - offsets_[a];
+  }
+
+  /// Sum of node a's row: the normaliser of a thief on node a.
+  double total(std::uint32_t a) const;
+  /// Node a's alias table over nodes.
+  const support::AliasTable& table(std::uint32_t a) const;
+
+ private:
+  struct Row {
+    std::once_flag total_once;
+    std::once_flag table_once;
+    double total = 0.0;
+    std::optional<support::AliasTable> table;
+  };
+
+  std::vector<double> weights(std::uint32_t a) const;
+
+  const JobLayout* layout_;
+  std::vector<std::uint32_t> node_of_;   // rank -> job-local node
+  std::vector<std::uint32_t> position_;  // rank -> index within its node
+  std::vector<std::uint32_t> offsets_;   // node a: ranks_[offsets_[a] ..
+  std::vector<Rank> ranks_;              //   offsets_[a + 1]), ascending
+  std::unique_ptr<Row[]> rows_;
+};
+
 /// Computes message latency and victim-selection distances between ranks of
 /// one job. Stateless beyond cached coordinates: O(1) memory per query, no
-/// N x N tables (important when simulating 8192 ranks in-process).
+/// N x N tables (important when simulating 8192 ranks in-process). The one
+/// exception is node_tables(), built on first use and shared by copies.
 class LatencyModel {
  public:
   explicit LatencyModel(const JobLayout& layout, LatencyParams params = {});
@@ -97,6 +157,10 @@ class LatencyModel {
   ///   w(i,j) = 1/e(i,j) if e(i,j) != 0, else 1.
   double victim_weight(Rank from, Rank to) const;
 
+  /// The job's skewed victim distribution by node. Built on the first call,
+  /// from any thread, and shared with every copy of this model.
+  const NodeTables& node_tables() const;
+
   const JobLayout& layout() const noexcept { return *layout_; }
   const LatencyParams& params() const noexcept { return params_; }
 
@@ -107,8 +171,14 @@ class LatencyModel {
   support::SimTime sampled_distance(Rank src, Rank dst, std::uint32_t bytes,
                                     support::SimTime now) const;
 
+  struct SharedNodeTables {
+    std::once_flag once;
+    std::optional<NodeTables> tables;
+  };
+
   const JobLayout* layout_;
   LatencyParams params_;
+  std::shared_ptr<SharedNodeTables> node_tables_;
 };
 
 }  // namespace dws::topo

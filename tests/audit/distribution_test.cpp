@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "support/stats.hpp"
@@ -184,6 +186,60 @@ TEST_F(DistributionTest, TofuAgreementHoldsOnBothSidesOfTheThreshold) {
     EXPECT_TRUE(check.ok) << "max_ranks=" << max_ranks << ": " << check.detail;
   }
 }
+
+/// A Tofu job whose nodes hold unequal numbers of ranks: `width` ranks
+/// sliced from `parent_ranks` grouped at 8 per node, starting at `base`.
+struct UnevenJob {
+  const char* name;
+  topo::Rank parent_ranks;
+  topo::Rank base;
+  topo::Rank width;
+  topo::Rank self;
+};
+
+void PrintTo(const UnevenJob& job, std::ostream* os) { *os << job.name; }
+
+class TofuUnevenOccupancy : public ::testing::TestWithParam<UnevenJob> {};
+
+TEST_P(TofuUnevenOccupancy, BothBackendsMatchProbability) {
+  const UnevenJob& job = GetParam();
+  const topo::TofuMachine machine;
+  const topo::JobLayout parent(machine, job.parent_ranks,
+                               topo::Placement::kGrouped, 8);
+  const topo::JobLayout layout =
+      topo::JobLayout::slice(parent, job.base, job.width);
+  const topo::LatencyModel latency(layout);
+  for (const std::uint32_t max_ranks : {2048u, 1u}) {
+    ws::WsConfig cfg;
+    cfg.victim_policy = ws::VictimPolicy::kTofuSkewed;
+    cfg.alias_table_max_ranks = max_ranks;
+    const std::vector<double> expected =
+        expected_distribution(cfg, job.self, job.width, latency);
+    EXPECT_DOUBLE_EQ(expected[job.self], 0.0);
+    EXPECT_NEAR(std::accumulate(expected.begin(), expected.end(), 0.0), 1.0,
+                1e-12);
+    auto selector = proto::make_selector(cfg, job.self, latency);
+    // check_selector_distribution also fails on any draw of self.
+    const DistributionCheck check =
+        check_selector_distribution(*selector, expected, job.self, 20000);
+    EXPECT_TRUE(check.ok) << "max_ranks=" << max_ranks << ": " << check.detail;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, TofuUnevenOccupancy,
+    ::testing::Values(
+        // Nodes of 8 and 5 ranks, the thief on either.
+        UnevenJob{"Nodes8And5SelfOnThe5", 16, 0, 13, 10},
+        UnevenJob{"Nodes8And5SelfOnThe8", 16, 0, 13, 2},
+        // Parent rank 7 alone on its node: its own-node weight is 0.
+        UnevenJob{"ThiefAloneOnItsNode", 16, 7, 9, 0},
+        UnevenJob{"OneNodeJob", 8, 0, 8, 3},
+        // One node, one other rank: the within-node pick costs no draw.
+        UnevenJob{"OneNodeTwoRanks", 8, 0, 2, 1}),
+    [](const ::testing::TestParamInfo<UnevenJob>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace dws::audit

@@ -263,6 +263,63 @@ TEST_F(LatencyTest, RouteMatchesTheSeparateQueriesOnEveryPair) {
   }
 }
 
+TEST_F(LatencyTest, NodeTablesGroupRanksByNodeInRankOrder) {
+  // Round-robin placement interleaves nodes; a slice starting mid-node gives
+  // nodes of unequal occupancy.
+  const JobLayout rr(machine_, 48, Placement::kRoundRobin, 8);
+  const JobLayout grouped(machine_, 32, Placement::kGrouped, 8);
+  const JobLayout slice = JobLayout::slice(grouped, 5, 20);  // 3 + 8 + 8 + 1
+  for (const JobLayout* layout : {&rr, &slice}) {
+    const LatencyModel model(*layout);
+    const NodeTables& nodes = model.node_tables();
+    const Rank n = layout->num_ranks();
+    EXPECT_EQ(nodes.num_nodes(), layout->num_nodes());
+    std::uint32_t held = 0;
+    for (std::uint32_t a = 0; a < nodes.num_nodes(); ++a) {
+      held += nodes.ranks_on(a);
+      ASSERT_GT(nodes.ranks_on(a), 0u);
+      // Nodes are numbered by their lowest rank; ranks ascend within one.
+      if (a > 0) {
+        EXPECT_LT(nodes.ranks(a - 1)[0], nodes.ranks(a)[0]);
+      }
+      for (std::uint32_t i = 1; i < nodes.ranks_on(a); ++i) {
+        EXPECT_LT(nodes.ranks(a)[i - 1], nodes.ranks(a)[i]);
+      }
+    }
+    EXPECT_EQ(held, n);
+    for (Rank r = 0; r < n; ++r) {
+      EXPECT_EQ(nodes.ranks(nodes.node_of(r))[nodes.position_of(r)], r);
+      for (Rank j = 0; j < n; ++j) {
+        EXPECT_EQ(nodes.node_of(r) == nodes.node_of(j),
+                  layout->same_node(r, j));
+      }
+      // A row's total is the thief's rank-level normaliser.
+      double rank_sum = 0.0;
+      for (Rank j = 0; j < n; ++j) {
+        if (j != r) rank_sum += model.victim_weight(r, j);
+      }
+      EXPECT_NEAR(nodes.total(nodes.node_of(r)), rank_sum, 1e-12 * rank_sum);
+    }
+  }
+  EXPECT_EQ(LatencyModel(slice).node_tables().ranks_on(0), 3u);
+  EXPECT_EQ(LatencyModel(slice).node_tables().ranks_on(3), 1u);
+}
+
+TEST_F(LatencyTest, NodeTablesAreBuiltOnceAndSharedByCopies) {
+  const JobLayout layout(machine_, 64, Placement::kOnePerNode);
+  const LatencyModel model(layout);
+  const LatencyModel copy = model;  // copied before the first use
+  const NodeTables& tables = copy.node_tables();
+  EXPECT_EQ(&model.node_tables(), &tables);
+  EXPECT_EQ(&tables.table(3), &model.node_tables().table(3));
+  // At one rank per node, node i is rank i and a table spans every node.
+  EXPECT_EQ(tables.num_nodes(), 64u);
+  EXPECT_EQ(tables.table(3).size(), 64u);
+  for (Rank r = 0; r < 64; ++r) EXPECT_EQ(tables.node_of(r), r);
+  // A separately built model over the same layout has its own tables.
+  EXPECT_NE(&LatencyModel(layout).node_tables(), &tables);
+}
+
 TEST_F(LatencyTest, SampleBinsFromHistogramPreserveMass) {
   support::Histogram h(100.0, 1'300.0, 12);  // bin width 100
   for (int i = 0; i < 10; ++i) h.add(150.0);   // bin 0

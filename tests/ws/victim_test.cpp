@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
 #include <map>
 #include <set>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -383,7 +385,10 @@ TEST_F(VictimTest, AdaptiveRejectionBackendFoldsFeedbackIntoTheNextDraw) {
 /// on 1/N and 8G layouts and several thief ranks. No golden record holds a
 /// Tofu run, so this is what holds the draw streams fixed across refactors
 /// of the sampling layer: the hashes were captured before the rejection
-/// loops were shared and the alias table lost its normalised copy. Adaptive
+/// loops were shared and the alias table lost its normalised copy. The three
+/// 8G Tofu alias rows were taken again when that backend became a two-stage
+/// draw (node, then rank within it); at 1/N every node holds one rank, so
+/// the two-stage draw is the old stream there and its rows held. Adaptive
 /// gets scripted feedback after every draw and refreshes its alias table
 /// every three feedback events.
 TEST_F(VictimTest, SkewedDrawStreamsArePinned) {
@@ -411,15 +416,15 @@ TEST_F(VictimTest, SkewedDrawStreamsArePinned) {
       {k1N, 255, kTofu, false, 0x991f779d1a504af2ull},
       {k1N, 255, kAdaptive, true, 0xa6b1c52bf0ee152dull},
       {k1N, 255, kAdaptive, false, 0x7a77029cc3442376ull},
-      {k8G, 0, kTofu, true, 0x18ae0cf3d2aedc21ull},
+      {k8G, 0, kTofu, true, 0xa095f389d4ca937dull},
       {k8G, 0, kTofu, false, 0xb7b5cd6a189a9f45ull},
       {k8G, 0, kAdaptive, true, 0xacd201c55edabda8ull},
       {k8G, 0, kAdaptive, false, 0x311eaddcc724d6c6ull},
-      {k8G, 77, kTofu, true, 0x36e8d3775854175eull},
+      {k8G, 77, kTofu, true, 0x367f92aa37d3386full},
       {k8G, 77, kTofu, false, 0x2851bce0656fddcfull},
       {k8G, 77, kAdaptive, true, 0xf2fed7761299339dull},
       {k8G, 77, kAdaptive, false, 0x1144ab43cf0872b6ull},
-      {k8G, 255, kTofu, true, 0xe9793f04559b52eeull},
+      {k8G, 255, kTofu, true, 0x1ca2631ce20f71ebull},
       {k8G, 255, kTofu, false, 0x946d98b4b66c71d6ull},
       {k8G, 255, kAdaptive, true, 0x7790c98d0fc1f523ull},
       {k8G, 255, kAdaptive, false, 0xa422f46e0e1f8800ull},
@@ -448,6 +453,51 @@ TEST_F(VictimTest, SkewedDrawStreamsArePinned) {
         << to_string(c.policy) << (c.alias ? " alias " : " rejection ")
         << (c.placement == k1N ? "1/N" : "8G") << " self " << c.self
         << ": 0x" << std::hex << hash;
+  }
+}
+
+/// svc's shard threads and rt's rank threads build selectors concurrently on
+/// one LatencyModel, whose node tables are built on first use. Four threads
+/// building every rank's selector at once, each starting at a different
+/// node, must draw exactly what a serial build on its own model draws.
+TEST_F(VictimTest, ConcurrentTofuBuildsMatchSerialBuilds) {
+  constexpr topo::Rank kRanks = 256;
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kDraws = 200;
+  const topo::JobLayout layout(machine_, kRanks, topo::Placement::kGrouped, 8);
+  WsConfig cfg;
+  cfg.victim_policy = VictimPolicy::kTofuSkewed;
+  cfg.seed = 23;
+  const auto stream = [&](const topo::LatencyModel& latency, topo::Rank r) {
+    auto s = proto::make_selector(cfg, r, latency);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (int i = 0; i < kDraws; ++i) {
+      hash = (hash ^ s->next()) * 0x100000001b3ull;
+    }
+    return hash;
+  };
+
+  const topo::LatencyModel serial_model(layout);
+  std::vector<std::uint64_t> serial(kRanks);
+  for (topo::Rank r = 0; r < kRanks; ++r) serial[r] = stream(serial_model, r);
+
+  const topo::LatencyModel shared_model(layout);
+  std::vector<std::vector<std::uint64_t>> got(
+      kThreads, std::vector<std::uint64_t>(kRanks));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (topo::Rank i = 0; i < kRanks; ++i) {
+        const topo::Rank r = (i + t * kRanks / kThreads) % kRanks;
+        got[t][r] = stream(shared_model, r);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], serial) << "thread " << t;
   }
 }
 
