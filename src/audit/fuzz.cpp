@@ -10,6 +10,7 @@
 #include "exp/record.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "proto/replay.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "uts/sequential.hpp"
@@ -22,91 +23,28 @@ namespace {
 /// per run according to the mutation mode. The simulation itself stays
 /// honest — only the auditor's view is corrupted, which is precisely what a
 /// conservation bug would look like from the ledger's side.
-class MutatingObserver final : public proto::RunObserver {
+class MutatingObserver final : public proto::HookRecorder {
  public:
   MutatingObserver(proto::RunObserver& inner, Mutation mode)
       : inner_(inner), mode_(mode) {}
 
-  void on_root(topo::Rank rank, const uts::TreeNode& root) override {
-    inner_.on_root(rank, root);
-  }
-  void on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
-                        std::uint32_t children) override {
-    if (mode_ == Mutation::kDoubleExpand && !fired_) {
-      fired_ = true;
-      inner_.on_node_expanded(rank, node, children);
+  void on_hook(const proto::HookRecord& r) override {
+    using Kind = proto::HookRecord::Kind;
+    if (!fired_) {
+      if (mode_ == Mutation::kDoubleExpand && r.kind == Kind::kNodeExpanded) {
+        fired_ = true;
+        proto::replay(r, inner_);  // the expansion is reported twice
+      } else if (mode_ == Mutation::kLeakMessage &&
+                 r.kind == Kind::kStealRequestSent) {
+        fired_ = true;
+        return;  // the request is never reported sent
+      } else if (mode_ == Mutation::kDropReceipt &&
+                 r.kind == Kind::kStealResponseReceived && r.v > 0) {
+        fired_ = true;
+        return;  // a work-carrying response is never reported received
+      }
     }
-    inner_.on_node_expanded(rank, node, children);
-  }
-  void on_steal_request_sent(topo::Rank thief, topo::Rank victim,
-                             std::uint32_t bytes) override {
-    if (mode_ == Mutation::kLeakMessage && !fired_) {
-      fired_ = true;
-      return;
-    }
-    inner_.on_steal_request_sent(thief, victim, bytes);
-  }
-  void on_steal_response_sent(topo::Rank victim, topo::Rank thief,
-                              std::uint64_t chunks, std::uint64_t nodes,
-                              std::uint32_t bytes) override {
-    inner_.on_steal_response_sent(victim, thief, chunks, nodes, bytes);
-  }
-  void on_steal_response_received(topo::Rank thief, topo::Rank victim,
-                                  std::uint64_t chunks,
-                                  std::uint64_t nodes) override {
-    if (mode_ == Mutation::kDropReceipt && !fired_ && nodes > 0) {
-      fired_ = true;
-      return;
-    }
-    inner_.on_steal_response_received(thief, victim, chunks, nodes);
-  }
-  void on_lifeline_register_sent(topo::Rank rank, topo::Rank target,
-                                 std::uint32_t bytes) override {
-    inner_.on_lifeline_register_sent(rank, target, bytes);
-  }
-  void on_lifeline_push_sent(topo::Rank from, topo::Rank to,
-                             std::uint64_t chunks, std::uint64_t nodes,
-                             std::uint32_t bytes) override {
-    inner_.on_lifeline_push_sent(from, to, chunks, nodes, bytes);
-  }
-  void on_lifeline_push_received(topo::Rank rank, std::uint64_t chunks,
-                                 std::uint64_t nodes) override {
-    inner_.on_lifeline_push_received(rank, chunks, nodes);
-  }
-  void on_steal_timeout(topo::Rank thief, topo::Rank victim,
-                        std::uint32_t attempt) override {
-    inner_.on_steal_timeout(thief, victim, attempt);
-  }
-  void on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
-                             std::uint64_t nodes) override {
-    inner_.on_duplicate_response(thief, chunks, nodes);
-  }
-  void on_steal_feedback(topo::Rank thief, topo::Rank victim, bool success,
-                         support::SimTime rtt, double success_ewma,
-                         double rtt_ewma) override {
-    inner_.on_steal_feedback(thief, victim, success, rtt, success_ewma,
-                             rtt_ewma);
-  }
-  void on_token_sent(topo::Rank from, topo::Rank to,
-                     const proto::Token& t) override {
-    inner_.on_token_sent(from, to, t);
-  }
-  void on_token_accepted(topo::Rank rank, const proto::Token& t) override {
-    inner_.on_token_accepted(rank, t);
-  }
-  void on_token_regenerated(topo::Rank rank,
-                            std::uint32_t generation) override {
-    inner_.on_token_regenerated(rank, generation);
-  }
-  void on_phase(topo::Rank rank, support::SimTime t,
-                metrics::Phase p) override {
-    inner_.on_phase(rank, t, p);
-  }
-  void on_termination(support::SimTime t) override {
-    inner_.on_termination(t);
-  }
-  void on_finish(topo::Rank rank, support::SimTime t) override {
-    inner_.on_finish(rank, t);
+    proto::replay(r, inner_);
   }
 
  private:

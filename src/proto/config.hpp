@@ -89,9 +89,11 @@ struct WsConfig {
 
   std::uint64_t seed = 1;  ///< seeds the per-rank victim-selection RNGs
 
-  /// kTofuSkewed builds per-rank alias tables (the paper's GSL approach) up
-  /// to this many ranks and switches to O(1)-memory rejection sampling above
-  /// (DESIGN.md §1 explains why; the distributions are identical).
+  /// Job size, in ranks, up to which the distance-skewed selectors sample
+  /// from alias tables (the paper's GSL approach) and above which they
+  /// switch to O(1)-memory rejection sampling (DESIGN.md §1 explains why;
+  /// the distributions are identical). kTofuSkewed draws from the job's
+  /// shared per-node tables; kAdaptive keeps one table per rank.
   std::uint32_t alias_table_max_ranks = 2048;
 
   /// One-sided steals (the paper's §VII future work; Dinan et al. SC'09):

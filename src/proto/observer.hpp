@@ -17,6 +17,12 @@ namespace dws::proto {
 /// On the native backend hooks may fire from any rank thread; rt serializes
 /// them through a mutex before they reach user observers.
 ///
+/// Decorators that stand between a run and its observer (the sharded
+/// BufferedObserver, rt's mutex, the audit fuzzer's liar) derive from
+/// HookRecorder (proto/replay.hpp), which hands every hook to one on_hook as
+/// a HookRecord; proto::replay turns a record back into the call. Adding a
+/// hook here means one capture in HookRecorder and one case in replay().
+///
 /// This is the seam the dws::audit invariant checkers hang off: the peer
 /// reports node expansions, chunk movement, steal request/response pairs,
 /// token traffic and phase transitions, and the auditor replays its own

@@ -7,159 +7,110 @@
 
 namespace dws::proto {
 
-void BufferedObserver::on_root(topo::Rank rank, const uts::TreeNode& root) {
-  HookRecord& r = append(Kind::kRoot);
-  r.a = rank;
-  r.node = root;
+using Kind = HookRecord::Kind;
+
+void HookRecorder::on_root(topo::Rank rank, const uts::TreeNode& root) {
+  on_hook({.kind = Kind::kRoot, .a = rank, .node = root});
 }
 
-void BufferedObserver::on_node_expanded(topo::Rank rank,
-                                        const uts::TreeNode& node,
-                                        std::uint32_t children) {
-  HookRecord& r = append(Kind::kNodeExpanded);
-  r.a = rank;
-  r.node = node;
-  r.w = children;
+void HookRecorder::on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
+                                    std::uint32_t children) {
+  on_hook(
+      {.kind = Kind::kNodeExpanded, .a = rank, .w = children, .node = node});
 }
 
-void BufferedObserver::on_steal_request_sent(topo::Rank thief,
-                                             topo::Rank victim,
-                                             std::uint32_t bytes) {
-  HookRecord& r = append(Kind::kStealRequestSent);
-  r.a = thief;
-  r.b = victim;
-  r.w = bytes;
+void HookRecorder::on_steal_request_sent(topo::Rank thief, topo::Rank victim,
+                                         std::uint32_t bytes) {
+  on_hook(
+      {.kind = Kind::kStealRequestSent, .a = thief, .b = victim, .w = bytes});
 }
 
-void BufferedObserver::on_steal_response_sent(topo::Rank victim,
-                                              topo::Rank thief,
+void HookRecorder::on_steal_response_sent(topo::Rank victim, topo::Rank thief,
+                                          std::uint64_t chunks,
+                                          std::uint64_t nodes,
+                                          std::uint32_t bytes) {
+  on_hook({.kind = Kind::kStealResponseSent, .a = victim, .b = thief,
+           .w = bytes, .u = chunks, .v = nodes});
+}
+
+void HookRecorder::on_steal_response_received(topo::Rank thief,
+                                              topo::Rank victim,
                                               std::uint64_t chunks,
-                                              std::uint64_t nodes,
-                                              std::uint32_t bytes) {
-  HookRecord& r = append(Kind::kStealResponseSent);
-  r.a = victim;
-  r.b = thief;
-  r.u = chunks;
-  r.v = nodes;
-  r.w = bytes;
+                                              std::uint64_t nodes) {
+  on_hook({.kind = Kind::kStealResponseReceived, .a = thief, .b = victim,
+           .u = chunks, .v = nodes});
 }
 
-void BufferedObserver::on_steal_response_received(topo::Rank thief,
-                                                  topo::Rank victim,
-                                                  std::uint64_t chunks,
-                                                  std::uint64_t nodes) {
-  HookRecord& r = append(Kind::kStealResponseReceived);
-  r.a = thief;
-  r.b = victim;
-  r.u = chunks;
-  r.v = nodes;
-}
-
-void BufferedObserver::on_lifeline_register_sent(topo::Rank rank,
-                                                 topo::Rank target,
-                                                 std::uint32_t bytes) {
-  HookRecord& r = append(Kind::kLifelineRegisterSent);
-  r.a = rank;
-  r.b = target;
-  r.w = bytes;
-}
-
-void BufferedObserver::on_lifeline_push_sent(topo::Rank from, topo::Rank to,
-                                             std::uint64_t chunks,
-                                             std::uint64_t nodes,
+void HookRecorder::on_lifeline_register_sent(topo::Rank rank, topo::Rank target,
                                              std::uint32_t bytes) {
-  HookRecord& r = append(Kind::kLifelinePushSent);
-  r.a = from;
-  r.b = to;
-  r.u = chunks;
-  r.v = nodes;
-  r.w = bytes;
+  on_hook({.kind = Kind::kLifelineRegisterSent, .a = rank, .b = target,
+           .w = bytes});
 }
 
-void BufferedObserver::on_lifeline_push_received(topo::Rank rank,
-                                                 std::uint64_t chunks,
-                                                 std::uint64_t nodes) {
-  HookRecord& r = append(Kind::kLifelinePushReceived);
-  r.a = rank;
-  r.u = chunks;
-  r.v = nodes;
+void HookRecorder::on_lifeline_push_sent(topo::Rank from, topo::Rank to,
+                                         std::uint64_t chunks,
+                                         std::uint64_t nodes,
+                                         std::uint32_t bytes) {
+  on_hook({.kind = Kind::kLifelinePushSent, .a = from, .b = to, .w = bytes,
+           .u = chunks, .v = nodes});
 }
 
-void BufferedObserver::on_steal_timeout(topo::Rank thief, topo::Rank victim,
-                                        std::uint32_t attempt) {
-  HookRecord& r = append(Kind::kStealTimeout);
-  r.a = thief;
-  r.b = victim;
-  r.w = attempt;
-}
-
-void BufferedObserver::on_duplicate_response(topo::Rank thief,
+void HookRecorder::on_lifeline_push_received(topo::Rank rank,
                                              std::uint64_t chunks,
                                              std::uint64_t nodes) {
-  HookRecord& r = append(Kind::kDuplicateResponse);
-  r.a = thief;
-  r.u = chunks;
-  r.v = nodes;
+  on_hook({.kind = Kind::kLifelinePushReceived, .a = rank, .u = chunks,
+           .v = nodes});
 }
 
-void BufferedObserver::on_steal_feedback(topo::Rank thief, topo::Rank victim,
-                                         bool success, support::SimTime rtt,
-                                         double success_ewma, double rtt_ewma) {
-  HookRecord& r = append(Kind::kStealFeedback);
-  r.a = thief;
-  r.b = victim;
-  r.w = success ? 1 : 0;
-  r.t = rtt;
-  // The EWMAs ride in the wide counters as bit patterns; dispatch() undoes
-  // the cast, so the replayed doubles are bit-exact.
-  r.u = std::bit_cast<std::uint64_t>(success_ewma);
-  r.v = std::bit_cast<std::uint64_t>(rtt_ewma);
+void HookRecorder::on_steal_timeout(topo::Rank thief, topo::Rank victim,
+                                    std::uint32_t attempt) {
+  on_hook({.kind = Kind::kStealTimeout, .a = thief, .b = victim, .w = attempt});
 }
 
-void BufferedObserver::on_token_sent(topo::Rank from, topo::Rank to,
-                                     const Token& t) {
-  HookRecord& r = append(Kind::kTokenSent);
-  r.a = from;
-  r.b = to;
-  r.token = t;
+void HookRecorder::on_duplicate_response(topo::Rank thief,
+                                         std::uint64_t chunks,
+                                         std::uint64_t nodes) {
+  on_hook({.kind = Kind::kDuplicateResponse, .a = thief, .u = chunks,
+           .v = nodes});
 }
 
-void BufferedObserver::on_token_accepted(topo::Rank rank, const Token& t) {
-  HookRecord& r = append(Kind::kTokenAccepted);
-  r.a = rank;
-  r.token = t;
+void HookRecorder::on_steal_feedback(topo::Rank thief, topo::Rank victim,
+                                     bool success, support::SimTime rtt,
+                                     double success_ewma, double rtt_ewma) {
+  on_hook({.kind = Kind::kStealFeedback, .a = thief, .b = victim,
+           .w = success ? 1u : 0u, .t = rtt,
+           .u = std::bit_cast<std::uint64_t>(success_ewma),
+           .v = std::bit_cast<std::uint64_t>(rtt_ewma)});
 }
 
-void BufferedObserver::on_token_regenerated(topo::Rank rank,
-                                            std::uint32_t generation) {
-  HookRecord& r = append(Kind::kTokenRegenerated);
-  r.a = rank;
-  r.w = generation;
+void HookRecorder::on_token_sent(topo::Rank from, topo::Rank to,
+                                 const Token& t) {
+  on_hook({.kind = Kind::kTokenSent, .a = from, .b = to, .token = t});
 }
 
-void BufferedObserver::on_phase(topo::Rank rank, support::SimTime t,
-                                metrics::Phase p) {
-  HookRecord& r = append(Kind::kPhase);
-  r.a = rank;
-  r.t = t;
-  r.phase = p;
+void HookRecorder::on_token_accepted(topo::Rank rank, const Token& t) {
+  on_hook({.kind = Kind::kTokenAccepted, .a = rank, .token = t});
 }
 
-void BufferedObserver::on_termination(support::SimTime t) {
-  HookRecord& r = append(Kind::kTermination);
-  r.t = t;
+void HookRecorder::on_token_regenerated(topo::Rank rank,
+                                        std::uint32_t generation) {
+  on_hook({.kind = Kind::kTokenRegenerated, .a = rank, .w = generation});
 }
 
-void BufferedObserver::on_finish(topo::Rank rank, support::SimTime t) {
-  HookRecord& r = append(Kind::kFinish);
-  r.a = rank;
-  r.t = t;
+void HookRecorder::on_phase(topo::Rank rank, support::SimTime t,
+                            metrics::Phase p) {
+  on_hook({.kind = Kind::kPhase, .phase = p, .a = rank, .t = t});
 }
 
-namespace {
+void HookRecorder::on_termination(support::SimTime t) {
+  on_hook({.kind = Kind::kTermination, .t = t});
+}
 
-void dispatch(const BufferedObserver::HookRecord& r, RunObserver& obs) {
-  using Kind = BufferedObserver::Kind;
+void HookRecorder::on_finish(topo::Rank rank, support::SimTime t) {
+  on_hook({.kind = Kind::kFinish, .a = rank, .t = t});
+}
+
+void replay(const HookRecord& r, RunObserver& obs) {
   switch (r.kind) {
     case Kind::kRoot:
       obs.on_root(r.a, r.node);
@@ -217,8 +168,6 @@ void dispatch(const BufferedObserver::HookRecord& r, RunObserver& obs) {
   }
 }
 
-}  // namespace
-
 void BufferedObserver::replay_merged(
     const std::vector<BufferedObserver*>& shards, RunObserver& downstream) {
   // (when, shard, index) keys; each shard's buffer is already nondecreasing
@@ -244,7 +193,7 @@ void BufferedObserver::replay_merged(
            std::tie(b.when, b.shard, b.index);
   });
   for (const Key& k : keys) {
-    dispatch(shards[k.shard]->records_[k.index], downstream);
+    replay(shards[k.shard]->records_[k.index], downstream);
   }
   for (BufferedObserver* s : shards) s->records_.clear();
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "metrics/trace.hpp"
@@ -13,27 +14,12 @@
 
 namespace dws::proto {
 
-/// Deterministic observer fan-in for the sharded simulator core
-/// (DESIGN.md §12).
-///
-/// Each shard thread gets its own BufferedObserver: every hook call is
-/// flattened into a POD HookRecord stamped with the shard engine's current
-/// virtual time (hook signatures mostly carry no timestamp, so the buffer
-/// asks the `clock` callback). At each window barrier, a single thread calls
-/// replay_merged, which interleaves all shards' records by
-/// (time, shard, buffer index) and re-invokes the hooks on the downstream
-/// observer — so the auditor (or any user observer) sees one globally
-/// time-ordered, run-to-run deterministic call stream no matter how the
-/// shard threads raced in wall-clock time.
-///
-/// Within a shard the buffer is naturally time-ordered (hooks fire during
-/// event execution and virtual time is nondecreasing), so replay_merged is a
-/// k-way merge implemented as a sort keyed (when, shard, index).
-class BufferedObserver final : public RunObserver {
- public:
-  /// Everything a hook received, flattened. Field use per kind mirrors the
-  /// RunObserver signature: ranks in a/b, wide counters in u/v, narrow
-  /// values (bytes, attempt, children, generation) in w.
+/// One RunObserver hook call, flattened into a POD. Field use per kind
+/// mirrors the RunObserver signature: ranks in a/b, wide counters in u/v,
+/// narrow values (bytes, attempt, children, generation, success) in w, the
+/// explicit time argument (or on_steal_feedback's rtt) in t. on_steal_feedback
+/// carries its EWMAs in u/v as bit patterns, so they replay bit-exact.
+struct HookRecord {
   enum class Kind : std::uint8_t {
     kRoot,
     kNodeExpanded,
@@ -53,20 +39,84 @@ class BufferedObserver final : public RunObserver {
     kTermination,
     kFinish,
   };
-  struct HookRecord {
-    support::SimTime when = 0;  ///< shard virtual time of the call
-    support::SimTime t = 0;     ///< explicit time argument, where the hook has one
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    uts::TreeNode node;
-    Token token;
-    topo::Rank a = 0;
-    topo::Rank b = 0;
-    std::uint32_t w = 0;
-    Kind kind = Kind::kRoot;
-    metrics::Phase phase = metrics::Phase::kIdle;
-  };
 
+  Kind kind = Kind::kRoot;
+  metrics::Phase phase = metrics::Phase::kIdle;
+  topo::Rank a = 0;
+  topo::Rank b = 0;
+  std::uint32_t w = 0;
+  support::SimTime when = 0;  ///< stamped by BufferedObserver; 0 elsewhere
+  support::SimTime t = 0;
+  std::uint64_t u = 0;
+  std::uint64_t v = 0;
+  uts::TreeNode node{};
+  Token token{};
+};
+
+/// Re-invokes on `obs` the hook call that `r` records, with the original
+/// arguments bit-exact.
+void replay(const HookRecord& r, RunObserver& obs);
+
+/// A RunObserver that funnels every hook into one HookRecord and hands it to
+/// on_hook. Observer decorators (buffering, locking, fault-injecting) derive
+/// from it and usually end with replay(record, inner); a new hook then needs
+/// one capture here and one case in replay(), not one forwarder per
+/// decorator.
+class HookRecorder : public RunObserver {
+ public:
+  virtual void on_hook(const HookRecord& record) = 0;
+
+  void on_root(topo::Rank rank, const uts::TreeNode& root) final;
+  void on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
+                        std::uint32_t children) final;
+  void on_steal_request_sent(topo::Rank thief, topo::Rank victim,
+                             std::uint32_t bytes) final;
+  void on_steal_response_sent(topo::Rank victim, topo::Rank thief,
+                              std::uint64_t chunks, std::uint64_t nodes,
+                              std::uint32_t bytes) final;
+  void on_steal_response_received(topo::Rank thief, topo::Rank victim,
+                                  std::uint64_t chunks,
+                                  std::uint64_t nodes) final;
+  void on_lifeline_register_sent(topo::Rank rank, topo::Rank target,
+                                 std::uint32_t bytes) final;
+  void on_lifeline_push_sent(topo::Rank from, topo::Rank to,
+                             std::uint64_t chunks, std::uint64_t nodes,
+                             std::uint32_t bytes) final;
+  void on_lifeline_push_received(topo::Rank rank, std::uint64_t chunks,
+                                 std::uint64_t nodes) final;
+  void on_steal_timeout(topo::Rank thief, topo::Rank victim,
+                        std::uint32_t attempt) final;
+  void on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
+                             std::uint64_t nodes) final;
+  void on_steal_feedback(topo::Rank thief, topo::Rank victim, bool success,
+                         support::SimTime rtt, double success_ewma,
+                         double rtt_ewma) final;
+  void on_token_sent(topo::Rank from, topo::Rank to, const Token& t) final;
+  void on_token_accepted(topo::Rank rank, const Token& t) final;
+  void on_token_regenerated(topo::Rank rank, std::uint32_t generation) final;
+  void on_phase(topo::Rank rank, support::SimTime t, metrics::Phase p) final;
+  void on_termination(support::SimTime t) final;
+  void on_finish(topo::Rank rank, support::SimTime t) final;
+};
+
+/// Deterministic observer fan-in for the sharded simulator core
+/// (DESIGN.md §12).
+///
+/// Each shard thread gets its own BufferedObserver: every hook call is
+/// buffered as a HookRecord stamped with the shard engine's current virtual
+/// time (hook signatures mostly carry no timestamp, so the buffer asks the
+/// `clock` callback). At each window barrier, a single thread calls
+/// replay_merged, which interleaves all shards' records by
+/// (time, shard, buffer index) and re-invokes the hooks on the downstream
+/// observer — so the auditor (or any user observer) sees one globally
+/// time-ordered, run-to-run deterministic call stream no matter how the
+/// shard threads raced in wall-clock time.
+///
+/// Within a shard the buffer is naturally time-ordered (hooks fire during
+/// event execution and virtual time is nondecreasing), so replay_merged is a
+/// k-way merge implemented as a sort keyed (when, shard, index).
+class BufferedObserver final : public HookRecorder {
+ public:
   using Clock = std::function<support::SimTime()>;
 
   /// `clock` must return the owning shard engine's current virtual time; it
@@ -81,47 +131,11 @@ class BufferedObserver final : public RunObserver {
   static void replay_merged(const std::vector<BufferedObserver*>& shards,
                             RunObserver& downstream);
 
-  // RunObserver — each hook appends one record.
-  void on_root(topo::Rank rank, const uts::TreeNode& root) override;
-  void on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
-                        std::uint32_t children) override;
-  void on_steal_request_sent(topo::Rank thief, topo::Rank victim,
-                             std::uint32_t bytes) override;
-  void on_steal_response_sent(topo::Rank victim, topo::Rank thief,
-                              std::uint64_t chunks, std::uint64_t nodes,
-                              std::uint32_t bytes) override;
-  void on_steal_response_received(topo::Rank thief, topo::Rank victim,
-                                  std::uint64_t chunks,
-                                  std::uint64_t nodes) override;
-  void on_lifeline_register_sent(topo::Rank rank, topo::Rank target,
-                                 std::uint32_t bytes) override;
-  void on_lifeline_push_sent(topo::Rank from, topo::Rank to,
-                             std::uint64_t chunks, std::uint64_t nodes,
-                             std::uint32_t bytes) override;
-  void on_lifeline_push_received(topo::Rank rank, std::uint64_t chunks,
-                                 std::uint64_t nodes) override;
-  void on_steal_timeout(topo::Rank thief, topo::Rank victim,
-                        std::uint32_t attempt) override;
-  void on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
-                             std::uint64_t nodes) override;
-  void on_steal_feedback(topo::Rank thief, topo::Rank victim, bool success,
-                         support::SimTime rtt, double success_ewma,
-                         double rtt_ewma) override;
-  void on_token_sent(topo::Rank from, topo::Rank to, const Token& t) override;
-  void on_token_accepted(topo::Rank rank, const Token& t) override;
-  void on_token_regenerated(topo::Rank rank, std::uint32_t generation) override;
-  void on_phase(topo::Rank rank, support::SimTime t, metrics::Phase p) override;
-  void on_termination(support::SimTime t) override;
-  void on_finish(topo::Rank rank, support::SimTime t) override;
-
- private:
-  HookRecord& append(Kind kind) {
-    HookRecord& rec = records_.emplace_back();
-    rec.when = clock_();
-    rec.kind = kind;
-    return rec;
+  void on_hook(const HookRecord& record) override {
+    records_.emplace_back(record).when = clock_();
   }
 
+ private:
   Clock clock_;
   std::vector<HookRecord> records_;
 };

@@ -249,10 +249,11 @@ std::unique_ptr<VictimSelector> make_selector(const WsConfig& config,
                                               topo::Rank self,
                                               const topo::LatencyModel& latency);
 
-/// Which sampling backend kTofuSkewed runs with at this job size. The two
+/// Which sampling backend the distance-skewed selectors (kTofuSkewed and
+/// kAdaptive) run with at this job size: alias tables or rejection. The two
 /// backends are equal in distribution but draw different RNG sequences, so
 /// the *active backend* — not the raw alias_table_max_ranks threshold — is
-/// what identifies a Tofu run; the record fingerprint uses this.
+/// what identifies such a run; the record fingerprint uses this for both.
 inline bool tofu_uses_alias(const WsConfig& config,
                             topo::Rank num_ranks) noexcept {
   return num_ranks <= config.alias_table_max_ranks;

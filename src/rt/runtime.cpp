@@ -12,6 +12,7 @@
 #include "proto/observer.hpp"
 #include "proto/payload_store.hpp"
 #include "proto/peer.hpp"
+#include "proto/replay.hpp"
 #include "rt/channel.hpp"
 #include "support/check.hpp"
 #include "uts/tree.hpp"
@@ -25,95 +26,13 @@ namespace {
 /// makes each hook a synchronization point: an auditor reading causally
 /// related events (a send, then its receive) observes them in a consistent
 /// order.
-class LockedObserver final : public proto::RunObserver {
+class LockedObserver final : public proto::HookRecorder {
  public:
   explicit LockedObserver(proto::RunObserver& inner) : inner_(inner) {}
 
-  void on_root(topo::Rank rank, const uts::TreeNode& root) override {
+  void on_hook(const proto::HookRecord& record) override {
     std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_root(rank, root);
-  }
-  void on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
-                        std::uint32_t children) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_node_expanded(rank, node, children);
-  }
-  void on_steal_request_sent(topo::Rank thief, topo::Rank victim,
-                             std::uint32_t bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_steal_request_sent(thief, victim, bytes);
-  }
-  void on_steal_response_sent(topo::Rank victim, topo::Rank thief,
-                              std::uint64_t chunks, std::uint64_t nodes,
-                              std::uint32_t bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_steal_response_sent(victim, thief, chunks, nodes, bytes);
-  }
-  void on_steal_response_received(topo::Rank thief, topo::Rank victim,
-                                  std::uint64_t chunks,
-                                  std::uint64_t nodes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_steal_response_received(thief, victim, chunks, nodes);
-  }
-  void on_lifeline_register_sent(topo::Rank rank, topo::Rank target,
-                                 std::uint32_t bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_lifeline_register_sent(rank, target, bytes);
-  }
-  void on_lifeline_push_sent(topo::Rank from, topo::Rank to,
-                             std::uint64_t chunks, std::uint64_t nodes,
-                             std::uint32_t bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_lifeline_push_sent(from, to, chunks, nodes, bytes);
-  }
-  void on_lifeline_push_received(topo::Rank rank, std::uint64_t chunks,
-                                 std::uint64_t nodes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_lifeline_push_received(rank, chunks, nodes);
-  }
-  void on_steal_timeout(topo::Rank thief, topo::Rank victim,
-                        std::uint32_t attempt) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_steal_timeout(thief, victim, attempt);
-  }
-  void on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
-                             std::uint64_t nodes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_duplicate_response(thief, chunks, nodes);
-  }
-  void on_steal_feedback(topo::Rank thief, topo::Rank victim, bool success,
-                         support::SimTime rtt, double success_ewma,
-                         double rtt_ewma) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_steal_feedback(thief, victim, success, rtt, success_ewma,
-                             rtt_ewma);
-  }
-  void on_token_sent(topo::Rank from, topo::Rank to,
-                     const proto::Token& t) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_token_sent(from, to, t);
-  }
-  void on_token_accepted(topo::Rank rank, const proto::Token& t) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_token_accepted(rank, t);
-  }
-  void on_token_regenerated(topo::Rank rank,
-                            std::uint32_t generation) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_token_regenerated(rank, generation);
-  }
-  void on_phase(topo::Rank rank, support::SimTime t,
-                metrics::Phase p) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_phase(rank, t, p);
-  }
-  void on_termination(support::SimTime t) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_termination(t);
-  }
-  void on_finish(topo::Rank rank, support::SimTime t) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_.on_finish(rank, t);
+    proto::replay(record, inner_);
   }
 
  private:

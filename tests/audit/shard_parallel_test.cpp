@@ -242,10 +242,13 @@ TEST(ShardParallel, ValidateRejectsDeadCongestionScale) {
 }
 
 /// Serializes every RunObserver hook into one text log, so two runs'
-/// complete hook streams can be compared for equality.
+/// complete hook streams can be compared for equality; `by_rank` splits the
+/// same lines by acting rank (each hook's first rank argument; rank 0 for
+/// on_termination, which rank 0 declares).
 class HookLogObserver final : public proto::RunObserver {
  public:
   std::string log;
+  std::map<topo::Rank, std::string> by_rank;
 
   void on_root(topo::Rank rank, const uts::TreeNode&) override {
     add("root", rank);
@@ -298,7 +301,7 @@ class HookLogObserver final : public proto::RunObserver {
     s << "feedback " << thief << ' ' << victim << ' ' << (success ? 1 : 0)
       << ' ' << rtt << ' ' << std::hexfloat << success_ewma << ' ' << rtt_ewma
       << '\n';
-    log += s.str();
+    emit(thief, s.str());
   }
   void on_token_sent(topo::Rank from, topo::Rank to,
                      const proto::Token& t) override {
@@ -314,17 +317,26 @@ class HookLogObserver final : public proto::RunObserver {
                 metrics::Phase p) override {
     add("phase", rank, t, static_cast<int>(p));
   }
-  void on_termination(support::SimTime t) override { add("term", t); }
+  void on_termination(support::SimTime t) override {
+    emit(0, "term " + std::to_string(t) + '\n');
+  }
   void on_finish(topo::Rank rank, support::SimTime t) override {
     add("finish", rank, t);
   }
 
  private:
   template <typename... Args>
-  void add(const char* tag, Args... args) {
-    log += tag;
-    ((log += ' ', log += std::to_string(args)), ...);
-    log += '\n';
+  void add(const char* tag, topo::Rank rank, Args... args) {
+    std::string line = tag;
+    line += ' ';
+    line += std::to_string(rank);
+    ((line += ' ', line += std::to_string(args)), ...);
+    line += '\n';
+    emit(rank, line);
+  }
+  void emit(topo::Rank rank, const std::string& line) {
+    log += line;
+    by_rank[rank] += line;
   }
 };
 
@@ -353,6 +365,51 @@ TEST(ShardParallel, OneNodeJobDegeneratesToTheSerialPathExactly) {
   ws::run_simulation(cfg, &serial);
   EXPECT_FALSE(serial.log.empty());
   EXPECT_EQ(serial.log, sharded.log);
+}
+
+/// Every rank's complete hook stream at sim_shards 1, 2 and 4. Cross-rank
+/// interleaving of same-time hooks is not promised (see
+/// FeedbackStreamObserver below), but each rank's own stream is: its events
+/// run in the same order on whichever shard holds it, and replay_merged keeps
+/// one shard's records in buffer order. `tags` name hooks the serial stream
+/// must contain, so the config provably exercises them.
+void expect_per_rank_hook_streams_shard_invariant(
+    ws::RunConfig cfg, const std::vector<std::string>& tags) {
+  cfg.sim_shards = 1;
+  HookLogObserver serial;
+  ws::run_simulation(cfg, &serial);
+  EXPECT_EQ(serial.by_rank.size(), cfg.num_ranks);
+  for (const std::string& tag : tags) {
+    EXPECT_NE(serial.log.find('\n' + tag + ' '), std::string::npos) << tag;
+  }
+  for (const std::uint32_t shards : {2u, 4u}) {
+    cfg.sim_shards = shards;
+    HookLogObserver sharded;
+    const ws::RunResult result = ws::run_simulation(cfg, &sharded);
+    EXPECT_GT(result.shards_used, 1u) << "sim_shards=" << shards;
+    ASSERT_EQ(sharded.by_rank.size(), serial.by_rank.size())
+        << "sim_shards=" << shards;
+    for (const auto& [rank, stream] : serial.by_rank) {
+      EXPECT_EQ(stream, sharded.by_rank[rank])
+          << "rank " << rank << ", sim_shards=" << shards;
+    }
+  }
+}
+
+TEST(ShardParallel, FaultedPerRankHookStreamsAreShardCountInvariant) {
+  // Drops, duplicates and both timeouts: exercises the timeout, duplicate-
+  // response and token-regeneration records of the buffered replay.
+  expect_per_rank_hook_streams_shard_invariant(
+      faulted_config(), {"timeout", "dup_resp", "tok_regen", "resp_recv"});
+}
+
+TEST(ShardParallel, LifelinePerRankHookStreamsAreShardCountInvariant) {
+  // Lifeline registration and pushes only fire under kLifeline.
+  ws::RunConfig cfg = base_config();
+  cfg.ws.idle_policy = ws::IdlePolicy::kLifeline;
+  cfg.ws.lifeline_tries = 2;
+  expect_per_rank_hook_streams_shard_invariant(
+      cfg, {"ll_reg", "ll_push", "ll_recv"});
 }
 
 /// Collects each thief's on_steal_feedback stream separately. Cross-rank
