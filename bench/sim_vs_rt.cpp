@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
   };
   std::vector<RttRow> rtt_rows;
   bool audits_ok = true;
-  bool within_band = true;
+  std::vector<double> judged_devs;  // deviations of non-oversubscribed rows
   for (const topo::Rank n : thread_counts) {
     ws::RunConfig cfg = base;
     cfg.num_ranks = n;
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     rtt_rows.push_back({n, steal_rtt_samples(sim.result.trace),
                         steal_rtt_samples(native.result.trace), sim.efficiency,
                         native.efficiency, oversubscribed});
-    if (!oversubscribed && dev > 0.10) within_band = false;
+    if (!oversubscribed) judged_devs.push_back(dev);
     table.add_row({support::fmt(std::uint64_t{n}), support::fmt(sim.efficiency, 3),
                    support::fmt(native.efficiency, 3), support::fmt_pct(dev, 1),
                    support::fmt(sim.steals, 0), support::fmt(native.steals, 0),
@@ -300,10 +300,21 @@ int main(int argc, char** argv) {
     std::printf("RESULT: FAIL (work-conservation audit violated)\n");
     return 1;
   }
-  std::printf(within_band
-                  ? "RESULT: OK (sim within 10%% of measured efficiency on "
-                    "non-oversubscribed points)\n"
-                  : "RESULT: CHECK (sim optimistic by >10%% on a "
-                    "non-oversubscribed point)\n");
+  // The band is one-sided: only a sim more than 10% optimistic fails it, so
+  // the verdict prints the signed range it was judged on, pessimism included.
+  bool within_band = true;
+  char range[96] = "no non-oversubscribed point";
+  if (!judged_devs.empty()) {
+    const auto [lo, hi] =
+        std::minmax_element(judged_devs.begin(), judged_devs.end());
+    within_band = *hi <= 0.10;
+    std::snprintf(range, sizeof(range),
+                  "deviation %+.1f%% to %+.1f%% on non-oversubscribed points",
+                  *lo * 100.0, *hi * 100.0);
+  }
+  std::printf("RESULT: %s (only optimistic deviation is judged: sim %s 10%% "
+              "above measured efficiency; %s)\n",
+              within_band ? "OK" : "CHECK",
+              within_band ? "at most" : "more than", range);
   return 0;
 }

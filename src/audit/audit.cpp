@@ -83,7 +83,7 @@ Auditor::Auditor(const ws::RunConfig& config, AuditConfig audit)
 
 void Auditor::violation(Family f, std::string message) {
   ++report_.violations_total;
-  if (report_.violations.size() < audit_.max_violations) {
+  if (report_.violations.size() < kMaxViolations) {
     report_.violations.push_back({f, std::move(message)});
   }
 }
@@ -97,7 +97,6 @@ std::int64_t Auditor::stack_estimate(topo::Rank r) const noexcept {
 
 void Auditor::on_root(topo::Rank rank, const uts::TreeNode& root) {
   (void)root;
-  if (!audit_.check_work) return;
   if (root_seen_) {
     violation(Family::kWork, "tree root seeded twice (rank " +
                                  rank_str(rank) + ")");
@@ -108,7 +107,6 @@ void Auditor::on_root(topo::Rank rank, const uts::TreeNode& root) {
 
 void Auditor::on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
                                std::uint32_t children) {
-  if (!audit_.check_work) return;
   if (stack_estimate(rank) < 1) {
     violation(Family::kWork,
               "rank " + rank_str(rank) +
@@ -119,8 +117,7 @@ void Auditor::on_node_expanded(topo::Rank rank, const uts::TreeNode& node,
   created_[rank] += children;
   if (children == 0) ++leaves_;
 
-  if (fingerprints_.size() <
-      static_cast<std::size_t>(audit_.max_tracked_nodes)) {
+  if (fingerprints_.size() < kMaxTrackedNodes) {
     if (!fingerprints_.insert(node_fingerprint(node)).second) {
       ++fingerprint_dups_;
       if (fingerprint_dups_ == 1) {
@@ -138,7 +135,6 @@ void Auditor::on_steal_request_sent(topo::Rank thief, topo::Rank victim,
                                     std::uint32_t bytes) {
   ++report_.requests;
   bytes_sent_ += bytes;
-  if (!audit_.check_messages) return;
   if (thief == victim) {
     violation(Family::kMessages,
               "rank " + rank_str(thief) + " sent a steal request to itself");
@@ -156,20 +152,18 @@ void Auditor::on_steal_response_sent(topo::Rank victim, topo::Rank thief,
                                      std::uint32_t bytes) {
   ++report_.responses_sent;
   bytes_sent_ += bytes;
-  if (audit_.check_messages) {
-    if (!request_outstanding_[thief] && !relaxed_) {
-      violation(Family::kMessages,
-                "rank " + rank_str(victim) +
-                    " answered a request rank " + rank_str(thief) +
-                    " never sent");
-    }
-    if (response_outstanding_[thief] && !relaxed_) {
-      violation(Family::kMessages, "two responses in flight to rank " +
-                                       rank_str(thief));
-    }
-    response_outstanding_[thief] = 1;
+  if (!request_outstanding_[thief] && !relaxed_) {
+    violation(Family::kMessages,
+              "rank " + rank_str(victim) +
+                  " answered a request rank " + rank_str(thief) +
+                  " never sent");
   }
-  if (audit_.check_work && nodes > 0) {
+  if (response_outstanding_[thief] && !relaxed_) {
+    violation(Family::kMessages, "two responses in flight to rank " +
+                                     rank_str(thief));
+  }
+  response_outstanding_[thief] = 1;
+  if (nodes > 0) {
     if (stack_estimate(victim) < static_cast<std::int64_t>(nodes)) {
       violation(Family::kWork,
                 "rank " + rank_str(victim) + " shipped " +
@@ -188,16 +182,14 @@ void Auditor::on_steal_response_received(topo::Rank thief, topo::Rank victim,
                                          std::uint64_t nodes) {
   (void)victim;
   ++report_.responses_received;
-  if (audit_.check_messages) {
-    if (!response_outstanding_[thief] && !relaxed_) {
-      violation(Family::kMessages,
-                "rank " + rank_str(thief) +
-                    " received a response with none in flight");
-    }
-    response_outstanding_[thief] = 0;
-    request_outstanding_[thief] = 0;
+  if (!response_outstanding_[thief] && !relaxed_) {
+    violation(Family::kMessages,
+              "rank " + rank_str(thief) +
+                  " received a response with none in flight");
   }
-  if (audit_.check_work && nodes > 0) {
+  response_outstanding_[thief] = 0;
+  request_outstanding_[thief] = 0;
+  if (nodes > 0) {
     recv_[thief] += nodes;
     chunks_recv_ += chunks;
     ++work_responses_recv_;
@@ -217,7 +209,6 @@ void Auditor::on_lifeline_push_sent(topo::Rank from, topo::Rank to,
   (void)to;
   ++report_.lifeline_pushes;
   bytes_sent_ += bytes;
-  if (!audit_.check_work) return;
   if (nodes == 0) {
     violation(Family::kWork,
               "rank " + rank_str(from) + " pushed an empty lifeline delivery");
@@ -237,7 +228,6 @@ void Auditor::on_lifeline_push_sent(topo::Rank from, topo::Rank to,
 
 void Auditor::on_lifeline_push_received(topo::Rank rank, std::uint64_t chunks,
                                         std::uint64_t nodes) {
-  if (!audit_.check_work) return;
   recv_[rank] += nodes;
   chunks_recv_ += chunks;
   ++work_responses_recv_;
@@ -253,11 +243,9 @@ void Auditor::on_steal_timeout(topo::Rank thief, topo::Rank victim,
                   " timed out a steal request in a run with no timeout "
                   "configured");
   }
-  if (audit_.check_messages) {
-    // The abandoned pair is written off; the retry's own hooks restart it.
-    request_outstanding_[thief] = 0;
-    response_outstanding_[thief] = 0;
-  }
+  // The abandoned pair is written off; the retry's own hooks restart it.
+  request_outstanding_[thief] = 0;
+  response_outstanding_[thief] = 0;
 }
 
 void Auditor::on_duplicate_response(topo::Rank thief, std::uint64_t chunks,
@@ -275,7 +263,6 @@ void Auditor::on_token_sent(topo::Rank from, topo::Rank to,
                             const proto::Token& t) {
   ++report_.tokens;
   bytes_sent_ += config_.ws.token_bytes;
-  if (!audit_.check_clock) return;
   if (to != (from + 1) % config_.num_ranks) {
     violation(Family::kClock, "token left the ring: " + rank_str(from) +
                                   " -> " + rank_str(to));
@@ -308,7 +295,6 @@ void Auditor::on_token_regenerated(topo::Rank rank, std::uint32_t generation) {
 }
 
 void Auditor::on_phase(topo::Rank rank, support::SimTime t, metrics::Phase p) {
-  if (!audit_.check_clock) return;
   if (t < last_phase_time_[rank]) {
     violation(Family::kClock,
               "rank " + rank_str(rank) + " phase time went backwards (" +
@@ -330,33 +316,31 @@ void Auditor::on_termination(support::SimTime t) {
   terminated_ = true;
   termination_time_ = t;
 
-  if (audit_.check_work) {
-    // Token soundness: termination may only be declared with no work in
-    // flight and every stack empty. The ledger sees both directly.
-    std::int64_t in_flight = 0;
-    for (topo::Rank r = 0; r < config_.num_ranks; ++r) {
-      in_flight += static_cast<std::int64_t>(sent_[r]) -
-                   static_cast<std::int64_t>(recv_[r]);
-      if (stack_estimate(r) != 0) {
-        violation(Family::kWork,
-                  "termination declared while rank " + rank_str(r) +
-                      "'s ledger stack holds " +
-                      std::to_string(stack_estimate(r)) + " nodes");
-      }
-    }
-    if (in_flight != 0) {
-      violation(Family::kWork, "termination declared with " +
-                                   std::to_string(in_flight) +
-                                   " nodes in flight");
-    }
-    if (work_responses_sent_ != work_responses_recv_) {
+  // Token soundness: termination may only be declared with no work in
+  // flight and every stack empty. The ledger sees both directly.
+  std::int64_t in_flight = 0;
+  for (topo::Rank r = 0; r < config_.num_ranks; ++r) {
+    in_flight += static_cast<std::int64_t>(sent_[r]) -
+                 static_cast<std::int64_t>(recv_[r]);
+    if (stack_estimate(r) != 0) {
       violation(Family::kWork,
-                "termination declared with work messages in flight (" +
-                    std::to_string(work_responses_sent_) + " sent, " +
-                    std::to_string(work_responses_recv_) + " received)");
+                "termination declared while rank " + rank_str(r) +
+                    "'s ledger stack holds " +
+                    std::to_string(stack_estimate(r)) + " nodes");
     }
   }
-  if (audit_.check_clock && config_.num_ranks > 1) {
+  if (in_flight != 0) {
+    violation(Family::kWork, "termination declared with " +
+                                 std::to_string(in_flight) +
+                                 " nodes in flight");
+  }
+  if (work_responses_sent_ != work_responses_recv_) {
+    violation(Family::kWork,
+              "termination declared with work messages in flight (" +
+                  std::to_string(work_responses_sent_) + " sent, " +
+                  std::to_string(work_responses_recv_) + " received)");
+  }
+  if (config_.num_ranks > 1) {
     // Termination-token soundness: rank 0 may only accept a white token whose
     // accumulated work-message counters balance. The accepted token is
     // authoritative; under regeneration the last token observed en route to
@@ -377,7 +361,6 @@ void Auditor::on_termination(support::SimTime t) {
 }
 
 void Auditor::on_finish(topo::Rank rank, support::SimTime t) {
-  if (!audit_.check_clock) return;
   if (!terminated_) {
     violation(Family::kClock, "rank " + rank_str(rank) +
                                   " finished before global termination");
@@ -397,132 +380,129 @@ void Auditor::finalize(const ws::RunResult& result) {
   DWS_CHECK(!finalized_);
   finalized_ = true;
 
-  if (audit_.check_clock) {
-    if (!terminated_) {
-      violation(Family::kClock, "run completed without declaring termination");
-    }
-    for (topo::Rank r = 0; r < config_.num_ranks; ++r) {
-      if (!finished_[r]) {
-        violation(Family::kClock, "rank " + rank_str(r) + " never finished");
-      }
-    }
-    if (terminated_ && result.runtime != termination_time_) {
-      violation(Family::kClock,
-                "result runtime " + std::to_string(result.runtime) +
-                    " != observed termination time " +
-                    std::to_string(termination_time_));
+  // Clock family.
+  if (!terminated_) {
+    violation(Family::kClock, "run completed without declaring termination");
+  }
+  for (topo::Rank r = 0; r < config_.num_ranks; ++r) {
+    if (!finished_[r]) {
+      violation(Family::kClock, "rank " + rank_str(r) + " never finished");
     }
   }
-
-  if (audit_.check_work) {
-    std::uint64_t total_expanded = 0;
-    std::uint64_t total_created = 0;
-    for (topo::Rank r = 0; r < config_.num_ranks; ++r) {
-      total_expanded += expanded_[r];
-      total_created += created_[r];
-      if (r < result.per_rank.size() &&
-          expanded_[r] != result.per_rank[r].nodes_processed) {
-        violation(Family::kWork,
-                  "rank " + rank_str(r) + " ledger expanded " +
-                      std::to_string(expanded_[r]) + " nodes but reported " +
-                      std::to_string(result.per_rank[r].nodes_processed));
-      }
-    }
-    if (total_expanded != result.nodes) {
-      violation(Family::kWork, "ledger expanded " +
-                                   std::to_string(total_expanded) +
-                                   " nodes, result claims " +
-                                   std::to_string(result.nodes));
-    }
-    if (total_created != total_expanded) {
-      violation(Family::kWork,
-                std::to_string(total_created) + " nodes created but " +
-                    std::to_string(total_expanded) +
-                    " expanded — work lost or duplicated");
-    }
-    if (leaves_ != result.leaves) {
-      violation(Family::kWork, "ledger saw " + std::to_string(leaves_) +
-                                   " leaves, result claims " +
-                                   std::to_string(result.leaves));
-    }
-    if (report_.nodes_expanded <= audit_.max_tracked_nodes &&
-        fingerprints_.size() + fingerprint_dups_ != report_.nodes_expanded) {
-      violation(Family::kWork,
-                "fingerprint set holds " +
-                    std::to_string(fingerprints_.size()) + " of " +
-                    std::to_string(report_.nodes_expanded) +
-                    " expanded nodes");
-    }
-    if (audit_.expected_nodes && result.nodes != *audit_.expected_nodes) {
-      violation(Family::kWork,
-                "result nodes " + std::to_string(result.nodes) +
-                    " != sequential oracle " +
-                    std::to_string(*audit_.expected_nodes));
-    }
-    if (audit_.expected_leaves && result.leaves != *audit_.expected_leaves) {
-      violation(Family::kWork,
-                "result leaves " + std::to_string(result.leaves) +
-                    " != sequential oracle " +
-                    std::to_string(*audit_.expected_leaves));
-    }
-    if (chunks_sent_ != result.stats.chunks_sent) {
-      violation(Family::kWork,
-                "ledger counted " + std::to_string(chunks_sent_) +
-                    " chunks sent, result claims " +
-                    std::to_string(result.stats.chunks_sent));
-    }
-    if (chunks_sent_ != chunks_recv_) {
-      violation(Family::kWork, std::to_string(chunks_sent_) +
-                                   " chunks sent but " +
-                                   std::to_string(chunks_recv_) +
-                                   " received");
-    }
+  if (terminated_ && result.runtime != termination_time_) {
+    violation(Family::kClock,
+              "result runtime " + std::to_string(result.runtime) +
+                  " != observed termination time " +
+                  std::to_string(termination_time_));
   }
 
-  if (audit_.check_messages) {
-    if (report_.responses_received > report_.responses_sent) {
-      violation(Family::kMessages,
-                "more responses received (" +
-                    std::to_string(report_.responses_received) +
-                    ") than sent (" + std::to_string(report_.responses_sent) +
-                    ")");
+  // Work family.
+  std::uint64_t total_expanded = 0;
+  std::uint64_t total_created = 0;
+  for (topo::Rank r = 0; r < config_.num_ranks; ++r) {
+    total_expanded += expanded_[r];
+    total_created += created_[r];
+    if (r < result.per_rank.size() &&
+        expanded_[r] != result.per_rank[r].nodes_processed) {
+      violation(Family::kWork,
+                "rank " + rank_str(r) + " ledger expanded " +
+                    std::to_string(expanded_[r]) + " nodes but reported " +
+                    std::to_string(result.per_rank[r].nodes_processed));
     }
-    if (report_.responses_sent > report_.requests) {
-      violation(Family::kMessages,
-                "more responses sent (" +
-                    std::to_string(report_.responses_sent) +
-                    ") than requests (" + std::to_string(report_.requests) +
-                    ")");
-    }
-    // Every network send has a ledger entry; Terminate fan-out is the one
-    // message class without its own hook (it follows on_termination
-    // mechanically: N-1 messages of token_bytes each from rank 0).
-    const std::uint64_t terminates =
-        (terminated_ && config_.num_ranks > 1) ? config_.num_ranks - 1 : 0;
-    // Fault accounting: a dropped message was still *sent* — both the ledger
-    // and sim::NetworkStats count it at the send side, so drops need no
-    // correction. A duplicated message is counted once by the ledger (one
-    // hook) but twice by the network (two deliveries enqueued): add the
-    // injector's duplicate counts back.
-    const std::uint64_t expected_messages =
-        report_.requests + report_.responses_sent + report_.tokens +
-        report_.lifeline_registers + report_.lifeline_pushes + terminates +
-        result.faults.duplicated_messages;
-    if (expected_messages != result.network.messages) {
-      violation(Family::kMessages,
-                "ledger counted " + std::to_string(expected_messages) +
-                    " messages, network stats claim " +
-                    std::to_string(result.network.messages));
-    }
-    const std::uint64_t expected_bytes = bytes_sent_ +
-                                         terminates * config_.ws.token_bytes +
-                                         result.faults.duplicated_bytes;
-    if (expected_bytes != result.network.bytes) {
-      violation(Family::kMessages,
-                "ledger counted " + std::to_string(expected_bytes) +
-                    " bytes, network stats claim " +
-                    std::to_string(result.network.bytes));
-    }
+  }
+  if (total_expanded != result.nodes) {
+    violation(Family::kWork, "ledger expanded " +
+                                 std::to_string(total_expanded) +
+                                 " nodes, result claims " +
+                                 std::to_string(result.nodes));
+  }
+  if (total_created != total_expanded) {
+    violation(Family::kWork,
+              std::to_string(total_created) + " nodes created but " +
+                  std::to_string(total_expanded) +
+                  " expanded — work lost or duplicated");
+  }
+  if (leaves_ != result.leaves) {
+    violation(Family::kWork, "ledger saw " + std::to_string(leaves_) +
+                                 " leaves, result claims " +
+                                 std::to_string(result.leaves));
+  }
+  if (report_.nodes_expanded <= kMaxTrackedNodes &&
+      fingerprints_.size() + fingerprint_dups_ != report_.nodes_expanded) {
+    violation(Family::kWork,
+              "fingerprint set holds " +
+                  std::to_string(fingerprints_.size()) + " of " +
+                  std::to_string(report_.nodes_expanded) +
+                  " expanded nodes");
+  }
+  if (audit_.expected_nodes && result.nodes != *audit_.expected_nodes) {
+    violation(Family::kWork,
+              "result nodes " + std::to_string(result.nodes) +
+                  " != sequential oracle " +
+                  std::to_string(*audit_.expected_nodes));
+  }
+  if (audit_.expected_leaves && result.leaves != *audit_.expected_leaves) {
+    violation(Family::kWork,
+              "result leaves " + std::to_string(result.leaves) +
+                  " != sequential oracle " +
+                  std::to_string(*audit_.expected_leaves));
+  }
+  if (chunks_sent_ != result.stats.chunks_sent) {
+    violation(Family::kWork,
+              "ledger counted " + std::to_string(chunks_sent_) +
+                  " chunks sent, result claims " +
+                  std::to_string(result.stats.chunks_sent));
+  }
+  if (chunks_sent_ != chunks_recv_) {
+    violation(Family::kWork, std::to_string(chunks_sent_) +
+                                 " chunks sent but " +
+                                 std::to_string(chunks_recv_) +
+                                 " received");
+  }
+
+  // Message family.
+  if (report_.responses_received > report_.responses_sent) {
+    violation(Family::kMessages,
+              "more responses received (" +
+                  std::to_string(report_.responses_received) +
+                  ") than sent (" + std::to_string(report_.responses_sent) +
+                  ")");
+  }
+  if (report_.responses_sent > report_.requests) {
+    violation(Family::kMessages,
+              "more responses sent (" +
+                  std::to_string(report_.responses_sent) +
+                  ") than requests (" + std::to_string(report_.requests) +
+                  ")");
+  }
+  // Every network send has a ledger entry; Terminate fan-out is the one
+  // message class without its own hook (it follows on_termination
+  // mechanically: N-1 messages of token_bytes each from rank 0).
+  const std::uint64_t terminates =
+      (terminated_ && config_.num_ranks > 1) ? config_.num_ranks - 1 : 0;
+  // Fault accounting: a dropped message was still *sent* — both the ledger
+  // and sim::NetworkStats count it at the send side, so drops need no
+  // correction. A duplicated message is counted once by the ledger (one
+  // hook) but twice by the network (two deliveries enqueued): add the
+  // injector's duplicate counts back.
+  const std::uint64_t expected_messages =
+      report_.requests + report_.responses_sent + report_.tokens +
+      report_.lifeline_registers + report_.lifeline_pushes + terminates +
+      result.faults.duplicated_messages;
+  if (expected_messages != result.network.messages) {
+    violation(Family::kMessages,
+              "ledger counted " + std::to_string(expected_messages) +
+                  " messages, network stats claim " +
+                  std::to_string(result.network.messages));
+  }
+  const std::uint64_t expected_bytes = bytes_sent_ +
+                                       terminates * config_.ws.token_bytes +
+                                       result.faults.duplicated_bytes;
+  if (expected_bytes != result.network.bytes) {
+    violation(Family::kMessages,
+              "ledger counted " + std::to_string(expected_bytes) +
+                  " bytes, network stats claim " +
+                  std::to_string(result.network.bytes));
   }
 
   if (audit_.check_distribution) check_distributions();
@@ -545,8 +525,7 @@ void Auditor::check_distributions() {
         expected_distribution(config_.ws, self, config_.num_ranks, latency);
     auto selector = proto::make_selector(config_.ws, self, latency);
     const DistributionCheck check = check_selector_distribution(
-        *selector, expected, self, audit_.distribution_samples,
-        audit_.distribution_min_p);
+        *selector, expected, self, kDistributionSamples, kDistributionMinP);
     if (!check.ok) {
       violation(Family::kDistribution,
                 "selector for rank " + rank_str(self) +
@@ -558,7 +537,7 @@ void Auditor::check_distributions() {
 
 AuditedResult audited_run(const ws::RunConfig& config, AuditConfig audit,
                           std::uint64_t oracle_node_limit) {
-  if (audit.check_work && !audit.expected_nodes) {
+  if (!audit.expected_nodes) {
     const uts::TreeStats oracle =
         uts::enumerate_sequential(config.tree, oracle_node_limit);
     if (!oracle.truncated) {

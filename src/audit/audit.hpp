@@ -50,31 +50,29 @@ struct Violation {
   std::string message;
 };
 
-/// Which families to check and how hard. Default: everything except the
-/// distribution family (which resamples selectors and costs O(samples)).
+/// Distribution family: draws per audited selector, and the p-value below
+/// which a chi-square result is a violation (loose on purpose — this is a
+/// correctness screen, not a statistics paper).
+inline constexpr std::uint64_t kDistributionSamples = 20000;
+inline constexpr double kDistributionMinP = 1e-6;
+
+/// Exactly-once tracking keeps one 64-bit fingerprint per expanded node;
+/// past this many nodes the set stops growing (count-based invariants still
+/// apply, so huge runs degrade gracefully instead of thrashing).
+inline constexpr std::uint64_t kMaxTrackedNodes = 1ull << 22;
+
+/// Stop collecting (but keep counting) violations past this many.
+inline constexpr std::size_t kMaxViolations = 32;
+
+/// What an audit checks beyond the work, message and clock families, which
+/// always run. Default: no distribution screen (it resamples selectors and
+/// costs O(samples)) and no oracle comparison.
 struct AuditConfig {
-  bool check_work = true;
-  bool check_messages = true;
-  bool check_clock = true;
   bool check_distribution = false;
-
-  /// Distribution family: draws per audited selector, and the p-value below
-  /// which a chi-square result is a violation (loose on purpose — this is a
-  /// correctness screen, not a statistics paper).
-  std::uint64_t distribution_samples = 20000;
-  double distribution_min_p = 1e-6;
-
-  /// Exactly-once tracking keeps one 64-bit fingerprint per expanded node;
-  /// past this many nodes the set stops growing (count-based invariants
-  /// still apply, so huge runs degrade gracefully instead of thrashing).
-  std::uint64_t max_tracked_nodes = 1ull << 22;
 
   /// Sequential-oracle expectations; unset skips the oracle comparison.
   std::optional<std::uint64_t> expected_nodes;
   std::optional<std::uint64_t> expected_leaves;
-
-  /// Stop collecting (but keep counting) violations past this many.
-  std::size_t max_violations = 32;
 
   /// Every family on, including the distribution screen.
   static AuditConfig all() {
@@ -92,7 +90,7 @@ bool env_enabled();
 /// the ledger's headline counters, for reporting and tests.
 struct AuditReport {
   std::vector<Violation> violations;
-  std::size_t violations_total = 0;  ///< including ones past max_violations
+  std::size_t violations_total = 0;  ///< including ones past kMaxViolations
 
   std::uint64_t nodes_expanded = 0;
   std::uint64_t nodes_tracked = 0;   ///< fingerprints actually stored

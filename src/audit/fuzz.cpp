@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "exp/record.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
@@ -53,23 +54,25 @@ class MutatingObserver final : public proto::HookRecorder {
   bool fired_ = false;
 };
 
+/// Greedy shrinking stops after this many adopted simplifications.
+constexpr std::uint32_t kMaxShrinkRounds = 64;
+
 /// One fully audited point: oracle, auditor (optionally behind a mutator),
-/// run, finalize. Throws std::runtime_error on any violation — SweepRunner
-/// turns that into a failed point, the shrinker into a rejection test.
+/// run, finalize. Every audit family runs; the distribution screen only for
+/// configs small enough to afford it. Throws std::runtime_error on any
+/// violation — SweepRunner turns that into a failed point, the shrinker into
+/// a rejection test.
 ws::RunResult audited_point_run(const ws::RunConfig& config,
                                 const FuzzOptions& opts) {
-  AuditConfig acfg = opts.audit;
+  AuditConfig acfg;
   // Distribution sampling costs O(samples + ranks) per point; cap the rank
   // count it runs at so huge fuzz cases don't dominate the budget.
-  acfg.check_distribution =
-      opts.audit.check_distribution && config.num_ranks <= 256;
-  if (acfg.check_work && !acfg.expected_nodes) {
-    const uts::TreeStats seq =
-        uts::enumerate_sequential(config.tree, opts.node_budget);
-    if (!seq.truncated) {
-      acfg.expected_nodes = seq.nodes;
-      acfg.expected_leaves = seq.leaves;
-    }
+  acfg.check_distribution = config.num_ranks <= 256;
+  const uts::TreeStats seq =
+      uts::enumerate_sequential(config.tree, opts.node_budget);
+  if (!seq.truncated) {
+    acfg.expected_nodes = seq.nodes;
+    acfg.expected_leaves = seq.leaves;
   }
 
   Auditor auditor(config, acfg);
@@ -490,15 +493,9 @@ FuzzResult run_fuzz(const FuzzOptions& opts) {
   const exp::SweepReport report = exp::SweepRunner(ropts).run(spec);
 
   FuzzResult out;
-  for (const exp::PointResult& p : report.points) {
-    if (p.skipped) {
-      ++out.cases_skipped;
-    } else {
-      ++out.cases_run;
-    }
-  }
-
   const exp::PointResult* failed = report.first_failure();
+  out.cases_run = failed == nullptr ? opts.cases : failed->index + 1;
+  out.cases_skipped = opts.cases - out.cases_run;
   if (failed == nullptr) return out;
 
   FuzzFailure failure;
@@ -510,7 +507,7 @@ FuzzResult run_fuzz(const FuzzOptions& opts) {
   // it, stop when no candidate fails (local minimum) or the round budget is
   // spent. Deterministic because the runs are.
   bool progressed = true;
-  while (progressed && failure.shrink_steps < opts.max_shrink_rounds) {
+  while (progressed && failure.shrink_steps < kMaxShrinkRounds) {
     progressed = false;
     for (ws::RunConfig& candidate : shrink_candidates(failure.config)) {
       std::string message;

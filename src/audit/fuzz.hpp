@@ -5,7 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "audit/audit.hpp"
 #include "support/expected.hpp"
 #include "ws/scheduler.hpp"
 
@@ -41,16 +40,11 @@ struct FuzzOptions {
   unsigned threads = 0;  ///< SweepRunner fan-out; 0 = hardware concurrency
   bool progress = false;
   Mutation mutation = Mutation::kNone;
-  std::uint32_t max_shrink_rounds = 64;
   /// Draw fault-injection knobs (message loss, duplication, jitter,
   /// stragglers, pauses — fault::FaultConfig) for roughly half the cases.
   /// Cases with loss always get steal/token timeouts (the liveness recovery
   /// path), which also puts the auditor in its relaxed message mode.
   bool faults = false;
-  /// Family toggles for every case; expected_nodes/leaves are filled per
-  /// case from the sequential oracle. The distribution family is sampled
-  /// only for configs small enough to afford it (<= 256 ranks).
-  AuditConfig audit = AuditConfig::all();
 };
 
 struct FuzzFailure {
@@ -62,8 +56,11 @@ struct FuzzFailure {
 };
 
 struct FuzzResult {
-  std::uint64_t cases_run = 0;      ///< cases actually executed
-  std::uint64_t cases_skipped = 0;  ///< cancelled after the first failure
+  /// Cases up to and including the first failing one (all cases when none
+  /// fails), and the rest. Cases are claimed in index order and a failure
+  /// only cancels later ones, so both counts are independent of `threads`.
+  std::uint64_t cases_run = 0;
+  std::uint64_t cases_skipped = 0;
   std::optional<FuzzFailure> failure;
   bool ok() const noexcept { return !failure.has_value(); }
 };

@@ -128,7 +128,10 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
   ScopedCheckHandler scoped_handler;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  std::atomic<bool> cancelled{false};
+  // Index of a failed point (n: none). Points are claimed in index order, so
+  // every later claim lies past it and is skipped, while a point before the
+  // lowest failing one never is, whatever the thread timing.
+  std::atomic<std::size_t> failed_at{n};
   std::mutex progress_mutex;
 
   auto work = [&] {
@@ -136,7 +139,7 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) return;
       PointResult& out = report.points[i];
-      if (cancelled.load()) {
+      if (i > failed_at.load()) {
         out.skipped = true;
         out.error = "skipped: sweep cancelled";
         continue;
@@ -147,7 +150,7 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
         out.ok = true;
       } catch (const std::exception& e) {
         out.error = e.what();
-        cancelled.store(true);
+        failed_at.store(i);
       }
       out.wall_seconds = seconds_since(t0);
       const std::size_t completed = done.fetch_add(1) + 1;
@@ -176,7 +179,7 @@ SweepReport SweepRunner::run(const std::vector<SweepPoint>& points) const {
     for (std::thread& t : pool) t.join();
   }
 
-  report.cancelled = cancelled.load();
+  report.cancelled = failed_at.load() < n;
   report.wall_seconds = seconds_since(sweep_start);
   return report;
 }

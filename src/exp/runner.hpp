@@ -76,8 +76,10 @@ struct RunnerOptions {
 ///  - every config is validated (RunConfig::validate) before anything runs —
 ///    an invalid point fails the whole sweep up front;
 ///  - a DWS_CHECK failure inside a running simulation cancels the sweep: the
-///    failing point records the message, queued points are marked skipped,
-///    in-flight points finish. The process survives (the runner scopes a
+///    failing point records the message, queued points after it are marked
+///    skipped, in-flight points finish. Points are claimed in index order,
+///    so the lowest failing point always runs and first_failure() does not
+///    depend on thread timing. The process survives (the runner scopes a
 ///    support check handler that throws instead of aborting).
 class SweepRunner {
  public:

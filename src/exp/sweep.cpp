@@ -91,40 +91,6 @@ Axis local_tries_axis(const std::vector<std::uint32_t>& tries) {
   return axis;
 }
 
-Axis remote_tries_axis(const std::vector<std::uint32_t>& tries) {
-  Axis axis{"remote_tries", {}};
-  for (const std::uint32_t t : tries) {
-    axis.points.push_back({std::to_string(t), [t](ws::RunConfig& cfg) {
-                             cfg.ws.hierarchical_remote_tries = t;
-                           }});
-  }
-  return axis;
-}
-
-Axis adapt_epsilon_axis(const std::vector<double>& epsilons) {
-  Axis axis{"epsilon", {}};
-  for (const double e : epsilons) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "%g", e);
-    axis.points.push_back({label, [e](ws::RunConfig& cfg) {
-                             cfg.ws.adapt_epsilon = e;
-                           }});
-  }
-  return axis;
-}
-
-Axis adapt_decay_axis(const std::vector<double>& decays) {
-  Axis axis{"decay", {}};
-  for (const double d : decays) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "%g", d);
-    axis.points.push_back({label, [d](ws::RunConfig& cfg) {
-                             cfg.ws.adapt_decay = d;
-                           }});
-  }
-  return axis;
-}
-
 Axis sim_shards_axis(const std::vector<std::uint32_t>& shards) {
   Axis axis{"sim_shards", {}};
   for (const std::uint32_t s : shards) {
@@ -166,15 +132,6 @@ Axis placement_axis(
            cfg.placement = placement;
            cfg.procs_per_node = procs;
          }});
-  }
-  return axis;
-}
-
-Axis backend_axis(const std::vector<ws::Backend>& backends) {
-  Axis axis{"backend", {}};
-  for (const ws::Backend b : backends) {
-    axis.points.push_back(
-        {ws::to_string(b), [b](ws::RunConfig& cfg) { cfg.backend = b; }});
   }
   return axis;
 }
@@ -247,16 +204,6 @@ Axis fault_jitter_axis(const std::vector<double>& fracs) {
     axis.points.push_back(
         {percent_label(f),
          [f](ws::RunConfig& cfg) { cfg.fault.jitter_frac = f; }});
-  }
-  return axis;
-}
-
-Axis fault_straggler_axis(const std::vector<std::uint32_t>& counts) {
-  Axis axis{"stragglers", {}};
-  for (const std::uint32_t n : counts) {
-    axis.points.push_back(
-        {n == 0 ? "off" : std::to_string(n),
-         [n](ws::RunConfig& cfg) { cfg.fault.straggler_ranks = n; }});
   }
   return axis;
 }

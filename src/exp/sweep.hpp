@@ -48,13 +48,6 @@ Axis seed_axis(std::uint64_t first, std::uint64_t count);
 Axis congestion_axis(const std::vector<double>& scales);
 /// kHierarchical local picks per remote pick (ws.hierarchical_local_tries).
 Axis local_tries_axis(const std::vector<std::uint32_t>& tries);
-/// kHierarchical remote picks per schedule period
-/// (ws.hierarchical_remote_tries, the bounded-remote-tries knob).
-Axis remote_tries_axis(const std::vector<std::uint32_t>& tries);
-/// Adaptive feedback knobs (DESIGN.md §14): exploration probability and EWMA
-/// step of kAdaptive / adaptive_steal_amount.
-Axis adapt_epsilon_axis(const std::vector<double>& epsilons);
-Axis adapt_decay_axis(const std::vector<double>& decays);
 /// Parallel-simulator shard counts (RunConfig::sim_shards). An execution
 /// strategy, not a simulation parameter: every point must produce identical
 /// records, which is exactly what sweeping it checks (and what the
@@ -63,11 +56,6 @@ Axis sim_shards_axis(const std::vector<std::uint32_t>& shards);
 /// Placement + procs_per_node pairs (the paper's 1/N, 8RR, 8G allocations).
 Axis placement_axis(
     const std::vector<std::pair<topo::Placement, std::uint32_t>>& allocs);
-/// Execution engine per point: the simulator vs. the native thread runtime
-/// (rt::run_native). Points only dispatch through the backend when the sweep
-/// runs via run_backend / audit::checked_run — SweepRunner's defaults do.
-Axis backend_axis(const std::vector<ws::Backend>& backends);
-
 /// Service axes (svc::ServiceParams; base config needs svc.enabled).
 /// Mean Poisson inter-arrival gap in virtual ns — the arrival-rate axis of
 /// the tail-latency sweeps, labelled in ms.
@@ -82,12 +70,11 @@ Axis svc_mix_axis(
     const std::vector<std::pair<std::string, std::vector<svc::JobMixEntry>>>&
         mixes);
 
-/// Fault-injection axes (fault::FaultConfig), labelled "off" / "1%" / "2".
+/// Fault-injection axes (fault::FaultConfig), labelled "off" / "1%".
 /// Points with loss need ws.steal_timeout/token_timeout set on the base
 /// config — RunConfig::validate enforces the pairing.
 Axis fault_drop_axis(const std::vector<double>& probs);
 Axis fault_jitter_axis(const std::vector<double>& fracs);
-Axis fault_straggler_axis(const std::vector<std::uint32_t>& counts);
 
 /// Escape hatch: any label/mutation pairs under one axis name.
 Axis custom_axis(std::string name, std::vector<AxisPoint> points);

@@ -75,17 +75,21 @@ struct WsConfig {
   support::SimTime node_overhead = 130;    ///< ns of bookkeeping per node
   support::SimTime sha_round_cost = 900;   ///< ns per SHA round
   /// Virtual time a victim spends noticing + packaging one steal request
-  /// (the "victim stops working to package work" overhead of §II-A).
-  support::SimTime steal_handling_cost = 300;
+  /// (the "victim stops working to package work" overhead of §II-A). A
+  /// model constant, like the wire sizes below: every run uses these values,
+  /// and exp::canonical_config lists them in each record's fingerprint.
+  static constexpr support::SimTime steal_handling_cost = 300;
 
   /// Nodes expanded between message polls (the reference implementation
   /// probes MPI between node expansions; >1 trades fidelity for speed).
   std::uint32_t poll_interval = 1;
 
-  std::uint32_t steal_request_bytes = 16;
-  std::uint32_t response_header_bytes = 16;
-  std::uint32_t node_bytes = 24;  ///< serialized TreeNode (20B state + height)
-  std::uint32_t token_bytes = 8;
+  /// Wire sizes charged to the network model, in bytes.
+  static constexpr std::uint32_t steal_request_bytes = 16;
+  static constexpr std::uint32_t response_header_bytes = 16;
+  /// Serialized TreeNode (20B state + height).
+  static constexpr std::uint32_t node_bytes = 24;
+  static constexpr std::uint32_t token_bytes = 8;
 
   std::uint64_t seed = 1;  ///< seeds the per-rank victim-selection RNGs
 

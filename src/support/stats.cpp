@@ -1,60 +1,10 @@
 #include "support/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/check.hpp"
 
 namespace dws::support {
-
-void RunningStats::add(double x) noexcept {
-  ++n_;
-  if (n_ == 1) {
-    mean_ = min_ = max_ = x;
-    m2_ = 0.0;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double quantile(std::vector<double> samples, double q) {
-  DWS_CHECK(!samples.empty());
-  DWS_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
 
 namespace {
 

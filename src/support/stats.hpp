@@ -1,42 +1,7 @@
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-/// Streaming and batch statistics used by the metrics layer and the bench
-/// harness (average search time, session durations, failed-steal counts...).
+/// Statistical tests used by the audit layer's distribution screen.
 namespace dws::support {
-
-/// Welford's online algorithm: numerically stable mean/variance without
-/// storing samples. Cheap enough to keep one per rank per statistic.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  /// Merge another accumulator into this one (Chan et al. parallel update).
-  /// Used to combine per-rank statistics into job-wide ones.
-  void merge(const RunningStats& other) noexcept;
-
-  std::uint64_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Population variance; 0 for fewer than 2 samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Exact quantile of a sample set (linear interpolation between order
-/// statistics, the "type 7" definition used by numpy). Sorts a copy.
-double quantile(std::vector<double> samples, double q);
 
 /// Survival function of the chi-square distribution: P(X >= x) for X with
 /// `dof` degrees of freedom — i.e. the p-value of a chi-square

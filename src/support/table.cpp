@@ -45,20 +45,6 @@ std::string Table::render() const {
   return out;
 }
 
-std::string Table::render_csv() const {
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += row[c];
-    }
-    out += '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
@@ -68,12 +54,6 @@ std::string fmt(double v, int precision) {
 std::string fmt(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string fmt(std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   return buf;
 }
 

@@ -24,9 +24,6 @@ class Table {
   /// Render with columns right-aligned and padded; includes the header rule.
   std::string render() const;
 
-  /// Comma-separated rendering for downstream plotting.
-  std::string render_csv() const;
-
   std::size_t rows() const noexcept { return rows_.size(); }
 
  private:
@@ -37,7 +34,6 @@ class Table {
 /// Fixed-precision decimal formatting ("12.34").
 std::string fmt(double v, int precision = 2);
 std::string fmt(std::uint64_t v);
-std::string fmt(std::int64_t v);
 /// Percentage with % sign ("43.0%").
 std::string fmt_pct(double fraction, int precision = 1);
 

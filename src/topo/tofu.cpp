@@ -52,12 +52,6 @@ NodeId TofuMachine::node_id(const TofuCoord& c) const {
   return static_cast<NodeId>(cube * kNodesPerCube + in_cube);
 }
 
-std::uint32_t TofuMachine::rack_of(const TofuCoord& c) const {
-  const std::int32_t rack_z = c.z / kCubesPerRack;
-  const std::int32_t racks_per_column = (nz_ + kCubesPerRack - 1) / kCubesPerRack;
-  return static_cast<std::uint32_t>((c.x * ny_ + c.y) * racks_per_column + rack_z);
-}
-
 bool TofuMachine::same_cube(const TofuCoord& p, const TofuCoord& q) const {
   return p.x == q.x && p.y == q.y && p.z == q.z;
 }

@@ -36,7 +36,6 @@ class TofuMachine {
   static constexpr std::int32_t kB = 3;
   static constexpr std::int32_t kC = 2;
   static constexpr std::int32_t kNodesPerCube = kA * kB * kC;  // 12
-  static constexpr std::int32_t kCubesPerRack = 8;
 
   TofuMachine() : TofuMachine(24, 18, 16) {}
   TofuMachine(std::int32_t nx, std::int32_t ny, std::int32_t nz);
@@ -52,10 +51,6 @@ class TofuMachine {
   /// are inverse bijections — tested exhaustively.
   TofuCoord coord(NodeId id) const;
   NodeId node_id(const TofuCoord& c) const;
-
-  /// Rack identifier: eight consecutive-z cubes share a rack (paper §IV-B:
-  /// "one dimension for the rack ... and two across racks").
-  std::uint32_t rack_of(const TofuCoord& c) const;
 
   bool same_blade(const TofuCoord& p, const TofuCoord& q) const;
   bool same_cube(const TofuCoord& p, const TofuCoord& q) const;

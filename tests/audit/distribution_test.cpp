@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,6 +40,53 @@ TEST(ChiSquareSf, MatchesTextbookValues) {
             support::chi_square_sf(20.0, 10.0));
   EXPECT_LT(support::chi_square_sf(100.0, 3.0), 1e-12);
 }
+
+/// chi_square_sf against the closed forms that exist for small integer
+/// degrees of freedom. Each dof gets one x below dof + 2 (the series branch)
+/// and one above it (the continued-fraction branch).
+struct SfCase {
+  double x;
+  double dof;
+};
+
+void PrintTo(const SfCase& c, std::ostream* os) {
+  *os << "x=" << c.x << " dof=" << c.dof;
+}
+
+double closed_form_sf(double x, double dof) {
+  const double h = x / 2.0;
+  const double pi = 3.14159265358979323846;
+  if (dof == 1.0) return std::erfc(std::sqrt(h));
+  if (dof == 2.0) return std::exp(-h);
+  if (dof == 3.0) {
+    return std::erfc(std::sqrt(h)) + std::sqrt(2.0 * x / pi) * std::exp(-h);
+  }
+  if (dof == 4.0) return std::exp(-h) * (1.0 + h);
+  return std::exp(-h) * (1.0 + h + h * h / 2.0);  // dof == 6
+}
+
+class ChiSquareSfClosedForm : public ::testing::TestWithParam<SfCase> {};
+
+TEST_P(ChiSquareSfClosedForm, MatchesToTenDigits) {
+  const SfCase c = GetParam();
+  const double want = closed_form_sf(c.x, c.dof);
+  EXPECT_NEAR(support::chi_square_sf(c.x, c.dof), want, 1e-10 * want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallDof, ChiSquareSfClosedForm,
+    ::testing::Values(SfCase{0.5, 1}, SfCase{6.0, 1}, SfCase{1.0, 2},
+                      SfCase{30.0, 2}, SfCase{2.0, 3}, SfCase{9.0, 3},
+                      SfCase{0.3, 4}, SfCase{15.0, 4}, SfCase{4.0, 6},
+                      SfCase{25.0, 6}),
+    [](const ::testing::TestParamInfo<SfCase>& case_info) {
+      // "dof3_x9", "dof1_x0p5": gtest names allow only [A-Za-z0-9_].
+      std::ostringstream name;
+      name << "dof" << case_info.param.dof << "_x" << case_info.param.x;
+      std::string s = name.str();
+      std::replace(s.begin(), s.end(), '.', 'p');
+      return s;
+    });
 
 TEST_F(DistributionTest, EveryPolicyMatchesItsAnalyticDistribution) {
   const ws::VictimPolicy policies[] = {

@@ -56,6 +56,31 @@ TEST(FuzzDriver, CleanSweepFindsNothing) {
   EXPECT_EQ(r.cases_run, 3u);
 }
 
+/// A failure's case count, violation and reproducer are functions of the
+/// case stream: points are claimed in index order and a failure only cancels
+/// later ones, so the lowest failing case runs at any thread count. Under this
+/// mutation seed 7's first two cases pass and its third fails, so four
+/// threads also run cases past the first failure.
+TEST(FuzzDriver, FailureReportIsThreadCountInvariant) {
+  FuzzOptions opts;
+  opts.cases = 10;
+  opts.seed = 7;
+  opts.node_budget = 100'000;
+  opts.mutation = Mutation::kDropReceipt;
+  opts.threads = 1;
+  const FuzzResult one = run_fuzz(opts);
+  opts.threads = 4;
+  const FuzzResult four = run_fuzz(opts);
+  ASSERT_TRUE(one.failure.has_value());
+  ASSERT_TRUE(four.failure.has_value());
+  EXPECT_EQ(one.cases_run, 3u);
+  EXPECT_EQ(one.cases_run, four.cases_run);
+  EXPECT_EQ(one.cases_skipped, four.cases_skipped);
+  EXPECT_EQ(one.cases_run + one.cases_skipped, opts.cases);
+  EXPECT_EQ(one.failure->first_violation, four.failure->first_violation);
+  EXPECT_EQ(one.failure->reproducer, four.failure->reproducer);
+}
+
 /// The mutation matrix: every lie the fuzzer can tell must be caught and
 /// shrunk to a usable reproducer. This is the checker's own test coverage.
 class MutationCatches : public ::testing::TestWithParam<Mutation> {};

@@ -239,5 +239,24 @@ TEST(Report, SummaryListsFamiliesAndCounts) {
   EXPECT_NE(clean.report().summary().find("OK"), std::string::npos);
 }
 
+TEST(Report, ViolationListStopsAtTheCapButTheCountDoesNot) {
+  Auditor a(small_config());  // 16 ranks
+  // Every request is to self (one violation each); from the second round on
+  // each also has one outstanding (a second violation): 16 + 24 * 2 = 64.
+  for (topo::Rank i = 0; i < 40; ++i) {
+    a.on_steal_request_sent(i % 16, i % 16, 8);
+  }
+  const AuditReport& report = a.report();
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.violations_total, 64u);
+  ASSERT_EQ(report.violations.size(), kMaxViolations);
+  EXPECT_NE(report.violations.front().message.find("rank 0 sent a steal "
+                                                   "request to itself"),
+            std::string::npos);
+  const std::string summary = report.summary();
+  EXPECT_NE(summary.find("audit: 64 violations"), std::string::npos);
+  EXPECT_NE(summary.find("32 more suppressed"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace dws::audit

@@ -30,6 +30,17 @@ TEST(ConfigFingerprint, IsStableAndTwelveHexChars) {
   EXPECT_EQ(fp, config_fingerprint(cfg));  // pure function of the config
 }
 
+TEST(ConfigFingerprint, ListsTheModelConstantsInEveryConfig) {
+  // The steal-handling cost and wire sizes are fixed by the model, but every
+  // record's canonical config still names them with their values.
+  const std::string canon = canonical_config(base_config());
+  EXPECT_NE(canon.find("ws.steal_handling_cost=300"), std::string::npos);
+  EXPECT_NE(canon.find("ws.steal_request_bytes=16"), std::string::npos);
+  EXPECT_NE(canon.find("ws.response_header_bytes=16"), std::string::npos);
+  EXPECT_NE(canon.find("ws.node_bytes=24"), std::string::npos);
+  EXPECT_NE(canon.find("ws.token_bytes=8"), std::string::npos);
+}
+
 TEST(ConfigFingerprint, ChangesWithAnySemanticField) {
   const auto cfg = base_config();
   auto ranks = cfg;

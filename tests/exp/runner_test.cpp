@@ -6,6 +6,7 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/record.hpp"
 #include "exp/sweep.hpp"
@@ -156,6 +157,65 @@ TEST(SweepRunner, EmptyPointListIsAnEmptyReport) {
   EXPECT_FALSE(report.all_ok());  // nothing ran, nothing to trust
   EXPECT_FALSE(report.cancelled);
 }
+
+/// Cancellation at several pool sizes: whatever the thread timing, the
+/// lowest failing point runs and is the reported failure, every point before
+/// it runs, and only points after it may be skipped.
+class SweepRunnerThreads : public ::testing::TestWithParam<unsigned> {
+ protected:
+  /// Seeds 1..n; the run fails a DWS_CHECK for every seed in `failing`.
+  SweepReport run_failing(std::uint64_t n,
+                          std::vector<std::uint64_t> failing) const {
+    SweepSpec spec(base_config());
+    spec.axis(seed_axis(1, n));
+    const auto expanded = spec.expand();
+    EXPECT_TRUE(expanded);
+    RunnerOptions options;
+    options.progress = false;
+    options.threads = GetParam();
+    options.run = [failing](const ws::RunConfig& cfg) {
+      DWS_CHECK(std::find(failing.begin(), failing.end(), cfg.ws.seed) ==
+                failing.end());
+      return ws::RunResult{};
+    };
+    return SweepRunner(options).run(expanded.value());
+  }
+};
+
+TEST_P(SweepRunnerThreads, FirstFailureIsTheLowestFailingPoint) {
+  const SweepReport report = run_failing(16, {5, 11});
+  ASSERT_EQ(report.points.size(), 16u);
+  EXPECT_TRUE(report.cancelled);
+  ASSERT_NE(report.first_failure(), nullptr);
+  EXPECT_EQ(report.first_failure()->index, 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(report.points[i].ok) << "point " << i;
+    EXPECT_FALSE(report.points[i].skipped) << "point " << i;
+  }
+  EXPECT_FALSE(report.points[4].skipped);
+  for (const PointResult& p : report.points) {
+    if (!p.skipped) continue;
+    EXPECT_GT(p.index, 4u);
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.error, "skipped: sweep cancelled");
+  }
+}
+
+TEST_P(SweepRunnerThreads, FailureInTheLastPointSkipsNothing) {
+  const SweepReport report = run_failing(6, {6});
+  ASSERT_EQ(report.points.size(), 6u);
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_FALSE(report.all_ok());
+  ASSERT_NE(report.first_failure(), nullptr);
+  EXPECT_EQ(report.first_failure()->index, 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(report.points[i].ok) << "point " << i;
+  }
+  for (const PointResult& p : report.points) EXPECT_FALSE(p.skipped);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pool, SweepRunnerThreads,
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 }  // namespace
 }  // namespace dws::exp

@@ -139,26 +139,5 @@ TEST(TofuMachine, BladeHasFourNodes) {
   EXPECT_EQ(blade0, 4);
 }
 
-TEST(TofuMachine, RackGroupsEightCubesAlongZ) {
-  TofuMachine m(2, 2, 16);
-  TofuCoord p;          // z = 0
-  TofuCoord q = p;
-  q.z = 7;
-  EXPECT_EQ(m.rack_of(p), m.rack_of(q));
-  q.z = 8;
-  EXPECT_NE(m.rack_of(p), m.rack_of(q));
-  TofuCoord r = p;
-  r.x = 1;
-  EXPECT_NE(m.rack_of(p), m.rack_of(r));
-}
-
-TEST(TofuMachine, RackHolds96Nodes) {
-  TofuMachine m(1, 1, 8);  // exactly one rack
-  EXPECT_EQ(m.node_count(), 96u);
-  for (NodeId id = 1; id < m.node_count(); ++id) {
-    ASSERT_EQ(m.rack_of(m.coord(id)), m.rack_of(m.coord(0)));
-  }
-}
-
 }  // namespace
 }  // namespace dws::topo
