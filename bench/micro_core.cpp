@@ -27,6 +27,7 @@
 #include "crypto/uts_rng.hpp"
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "sim/pool.hpp"
 #include "support/alias_table.hpp"
 #include "support/rejection_sampler.hpp"
 #include "support/rng.hpp"
@@ -170,29 +171,40 @@ void BM_AliasTableSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasTableSample);
 
+// Draws of rank 0's selector. A job is 1/N (ppn 1) or 8G (ppn 8); the
+// 8192-rank 8G rows are the paper's headline job on either Tofu backend.
 void BM_VictimSelectors(benchmark::State& state) {
+  struct Job {
+    topo::JobLayout layout;
+    topo::LatencyModel latency{layout};
+  };
   static topo::TofuMachine machine;
-  static topo::JobLayout one_per_node(machine, 1024,
-                                      topo::Placement::kOnePerNode);
-  static topo::JobLayout grouped(machine, 1024, topo::Placement::kGrouped, 8);
-  static topo::LatencyModel latency_1n(one_per_node);
-  static topo::LatencyModel latency_8g(grouped);
+  static Job one_per_node{
+      topo::JobLayout(machine, 1024, topo::Placement::kOnePerNode)};
+  static Job grouped{
+      topo::JobLayout(machine, 1024, topo::Placement::kGrouped, 8)};
+  static Job grouped_8192{
+      topo::JobLayout(machine, 8192, topo::Placement::kGrouped, 8)};
+  const Job& job = state.range(2) == 1        ? one_per_node
+                   : state.range(3) == 8192 ? grouped_8192
+                                            : grouped;
   ws::WsConfig cfg;
   cfg.victim_policy = static_cast<ws::VictimPolicy>(state.range(0));
   cfg.alias_table_max_ranks = static_cast<std::uint32_t>(state.range(1));
-  auto selector = proto::make_selector(
-      cfg, 0, state.range(2) == 8 ? latency_8g : latency_1n);
+  auto selector = proto::make_selector(cfg, 0, job.latency);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector->next());
   }
 }
 BENCHMARK(BM_VictimSelectors)
-    ->ArgNames({"policy", "alias_max", "ppn"})
-    ->Args({0, 2048, 1})   // round robin
-    ->Args({1, 2048, 1})   // uniform random
-    ->Args({2, 2048, 1})   // tofu via alias table
-    ->Args({2, 16, 1})     // tofu via rejection sampling
-    ->Args({2, 2048, 8});  // tofu via node table, then rank in node (8G)
+    ->ArgNames({"policy", "alias_max", "ppn", "ranks"})
+    ->Args({0, 2048, 1, 1024})   // round robin
+    ->Args({1, 2048, 1, 1024})   // uniform random
+    ->Args({2, 2048, 1, 1024})   // tofu via alias table
+    ->Args({2, 16, 1, 1024})     // tofu via rejection sampling
+    ->Args({2, 2048, 8, 1024})   // tofu via node table, then rank in node (8G)
+    ->Args({2, 2048, 8, 8192})   // 8192-rank 8G: rejection (default threshold)
+    ->Args({2, 8192, 8, 8192});  // 8192-rank 8G: node tables
 
 // make_selector for every rank of an 8G, 1024-rank Tofu job on a fresh
 // latency model, so each iteration also builds the job's node tables, as
@@ -229,11 +241,17 @@ void BM_ChunkStackChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkStackChurn);
 
+// 1024 typed events over 97 instants into a fresh engine, then run() to
+// drain them: queue push/pop and one dispatch per event to a sink that does
+// nothing.
 void BM_EngineScheduleRun(benchmark::State& state) {
+  struct NullSink final : sim::EventSink {
+    void on_event(const sim::Event&) override {}
+  } sink;
   for (auto _ : state) {
     sim::Engine engine;
     for (int i = 0; i < 1024; ++i) {
-      engine.schedule_at(i % 97, [] {});
+      engine.schedule_at(i % 97, sink, sim::EventKind::kWorkerStep);
     }
     engine.run();
     benchmark::DoNotOptimize(engine.events_executed());

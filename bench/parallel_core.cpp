@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "audit/audit.hpp"
+#include "exp/args.hpp"
 #include "support/table.hpp"
 #include "uts/params.hpp"
 #include "ws/scheduler.hpp"
@@ -123,7 +124,16 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--report=", 0) == 0) {
       report_path = arg.substr(std::strlen("--report="));
     } else if (arg.rfind("--assert-speedup=", 0) == 0) {
-      assert_speedup = std::atof(arg.c_str() + std::strlen("--assert-speedup="));
+      const std::string value = arg.substr(std::strlen("--assert-speedup="));
+      if (const auto st = exp::parse_f64("--assert-speedup", value,
+                                         &assert_speedup);
+          !st || !(assert_speedup > 0.0)) {
+        std::fprintf(stderr,
+                     "parallel_core: --assert-speedup needs a positive ratio, "
+                     "got '%s'\n",
+                     value.c_str());
+        return 2;
+      }
     } else {
       std::fprintf(stderr,
                    "usage: parallel_core [--quick] [--no-audit] [--no-report]"

@@ -7,10 +7,10 @@
 ///     ranks     simulated ranks (default 256)
 ///     strategy  reference | rand | tofu | tofuhalf (default: reference)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "exp/args.hpp"
 #include "metrics/occupancy.hpp"
 #include "support/table.hpp"
 #include "ws/scheduler.hpp"
@@ -19,9 +19,13 @@ int main(int argc, char** argv) {
   using namespace dws;
 
   const char* tree = argc > 1 ? argv[1] : "SIM200K";
-  const auto ranks = argc > 2
-                         ? static_cast<topo::Rank>(std::strtoul(argv[2], nullptr, 10))
-                         : 256u;
+  topo::Rank ranks = 256;
+  if (argc > 2) {
+    if (const auto st = exp::parse_number("ranks", argv[2], &ranks); !st) {
+      std::fprintf(stderr, "%s\n", st.message().c_str());
+      return 2;
+    }
+  }
   const char* strategy = argc > 3 ? argv[3] : "reference";
 
   const uts::TreeParams* tree_params = uts::find_tree(tree);
@@ -46,7 +50,11 @@ int main(int argc, char** argv) {
     cfg.ws.steal_amount = ws::StealAmount::kHalf;
   } else {
     std::fprintf(stderr, "unknown strategy '%s'\n", strategy);
-    return 1;
+    return 2;
+  }
+  if (const auto st = cfg.validate(); !st) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 2;
   }
 
   std::fprintf(stderr, "simulating %s on %u ranks (%s)...\n", tree, ranks,

@@ -10,9 +10,9 @@
 /// --tree, --seed, --out); the classic UTS single-letter spellings are kept
 /// as short aliases. Run with --help for the full list.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "audit/audit.hpp"
 #include "exp/args.hpp"
@@ -319,9 +319,14 @@ int main(int argc, char** argv) {
           static_cast<support::SimTime>(arrival_mean);
       if (!arrival_trace.empty()) {
         sim_cfg.svc.arrival = svc::ArrivalKind::kTrace;
-        for (const std::string& t : exp::split_list(arrival_trace)) {
-          sim_cfg.svc.trace.push_back(
-              static_cast<support::SimTime>(std::strtoll(t.c_str(), nullptr, 10)));
+        for (const std::string& cell : exp::split_list(arrival_trace)) {
+          support::SimTime t = 0;
+          if (const auto st = exp::parse_number("--arrival-trace", cell, &t);
+              !st) {
+            std::fprintf(stderr, "%s\n", st.message().c_str());
+            return 2;
+          }
+          sim_cfg.svc.trace.push_back(t);
         }
       }
       if (alloc == "time") {
@@ -334,9 +339,15 @@ int main(int argc, char** argv) {
         const auto colon = entry.find(':');
         svc::JobMixEntry e;
         e.tree = entry.substr(0, colon);
-        e.weight = colon == std::string::npos
-                       ? 1.0
-                       : std::strtod(entry.c_str() + colon + 1, nullptr);
+        if (colon != std::string::npos) {
+          if (const auto st = exp::parse_f64(
+                  "--job-mix", std::string_view(entry).substr(colon + 1),
+                  &e.weight);
+              !st) {
+            std::fprintf(stderr, "%s\n", st.message().c_str());
+            return 2;
+          }
+        }
         sim_cfg.svc.mix.push_back(std::move(e));
       }
     }

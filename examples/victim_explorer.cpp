@@ -11,10 +11,10 @@
 /// Prints one row per (victim policy x steal amount) with the full metric
 /// set: speedup, occupancy, failed steals, discovery sessions, search time.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "exp/args.hpp"
 #include "metrics/occupancy.hpp"
 #include "support/table.hpp"
 #include "ws/scheduler.hpp"
@@ -23,13 +23,16 @@ int main(int argc, char** argv) {
   using namespace dws;
 
   const char* tree = argc > 1 ? argv[1] : "SIM200K";
-  const auto ranks = argc > 2
-                         ? static_cast<topo::Rank>(std::strtoul(argv[2], nullptr, 10))
-                         : 256u;
   const char* placement_arg = argc > 3 ? argv[3] : "1n";
-  const auto chunk = argc > 4
-                         ? static_cast<std::uint32_t>(std::strtoul(argv[4], nullptr, 10))
-                         : 4u;
+  topo::Rank ranks = 256;
+  std::uint32_t chunk = 4;
+  support::Status parsed = support::Status::ok();
+  if (argc > 2) parsed = exp::parse_number("ranks", argv[2], &ranks);
+  if (parsed && argc > 4) parsed = exp::parse_number("chunk", argv[4], &chunk);
+  if (!parsed) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
 
   const uts::TreeParams* tree_params = uts::find_tree(tree);
   if (tree_params == nullptr) {
@@ -48,7 +51,19 @@ int main(int argc, char** argv) {
   } else if (std::strcmp(placement_arg, "1n") != 0) {
     std::fprintf(stderr, "unknown placement '%s' (use 1n | 8rr | 8g)\n",
                  placement_arg);
-    return 1;
+    return 2;
+  }
+
+  ws::RunConfig base;
+  base.tree = *tree_params;
+  base.num_ranks = ranks;
+  base.placement = placement;
+  base.procs_per_node = ppn;
+  base.ws.chunk_size = chunk;
+  base.enable_congestion();
+  if (const auto st = base.validate(); !st) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 2;
   }
 
   std::printf("tree=%s ranks=%u placement=%s chunk=%u\n\n", tree, ranks,
@@ -72,15 +87,9 @@ int main(int argc, char** argv) {
   };
 
   for (const auto& v : variants) {
-    ws::RunConfig cfg;
-    cfg.tree = *tree_params;
-    cfg.num_ranks = ranks;
-    cfg.placement = placement;
-    cfg.procs_per_node = ppn;
-    cfg.ws.chunk_size = chunk;
+    ws::RunConfig cfg = base;
     cfg.ws.victim_policy = v.policy;
     cfg.ws.steal_amount = v.amount;
-    cfg.enable_congestion();
 
     std::fprintf(stderr, "running %-15s...\n", v.label);
     const auto r = ws::run_simulation(cfg);

@@ -1,25 +1,9 @@
 #include "exp/args.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace dws::exp {
-namespace {
-
-template <typename T>
-support::Status parse_number(std::string_view flag, std::string_view value,
-                             T* out) {
-  T parsed{};
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    return support::Status::error(std::string(flag) + ": '" +
-                                  std::string(value) + "' is not a number");
-  }
-  *out = parsed;
-  return support::Status::ok();
-}
 
 support::Status parse_f64(std::string_view flag, std::string_view value,
                           double* out) {
@@ -35,8 +19,6 @@ support::Status parse_f64(std::string_view flag, std::string_view value,
   *out = parsed;
   return support::Status::ok();
 }
-
-}  // namespace
 
 ArgSpec::ArgSpec(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}

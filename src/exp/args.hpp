@@ -1,5 +1,6 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -79,6 +80,26 @@ const char* policy_flag_values();     ///< "ref|rand|tofu|hier"
 const char* steal_flag_values();      ///< "1|half"
 const char* placement_flag_values();  ///< "1n|rr|g"
 const char* idle_flag_values();       ///< "persistent|lifeline"
+
+/// Whole-value number parsing, behind u32/u64/f64: `value` must be one
+/// base-10 integer that fits T (parse_number) or one strtod number
+/// (parse_f64), with nothing after it. On failure `*out` is untouched and
+/// the error reads "<flag>: '<value>' is not a number".
+template <typename T>
+support::Status parse_number(std::string_view flag, std::string_view value,
+                             T* out) {
+  T parsed{};
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  if (ec != std::errc{} || ptr != value.data() + value.size()) {
+    return support::Status::error(std::string(flag) + ": '" +
+                                  std::string(value) + "' is not a number");
+  }
+  *out = parsed;
+  return support::Status::ok();
+}
+support::Status parse_f64(std::string_view flag, std::string_view value,
+                          double* out);
 
 /// Split "a,b,c" (empty segments dropped).
 std::vector<std::string> split_list(std::string_view s, char sep = ',');

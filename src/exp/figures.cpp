@@ -15,12 +15,18 @@ namespace {
 FigureOptions g_options;
 bool g_options_initialised = false;
 
+/// A positive whole number from the environment, else `fallback`. A value
+/// that is not a whole number is named on stderr; 0 means the default.
 std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    const int parsed = std::atoi(v);
-    if (parsed > 0) return static_cast<std::uint32_t>(parsed);
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  std::uint32_t parsed = 0;
+  if (const auto st = parse_number(name, v, &parsed); !st) {
+    std::fprintf(stderr, "warning: %s; using %u\n", st.message().c_str(),
+                 fallback);
+    return fallback;
   }
-  return fallback;
+  return parsed > 0 ? parsed : fallback;
 }
 
 FigureOptions options_from_env() {

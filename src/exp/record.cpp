@@ -288,7 +288,6 @@ enum class Emit : std::uint8_t {
   kBoth,     // CSV, JSONL run and job rows
   kFailed,   // CSV, JSONL run rows of failed points
   kWall,     // CSV and JSONL run rows, with RecordOptions::wall_clock
-  kRetired,  // never written; read from v2..v4 files
 };
 
 using Member =
@@ -337,8 +336,6 @@ const std::array kColumns{
     DWS_COLUMN(net_messages, kRun),
     DWS_COLUMN(net_bytes, kRun),
     DWS_COLUMN(engine_events, kRun),
-    DWS_COLUMN(engine_peak_pending, kRetired),
-    DWS_COLUMN(net_peak_channels, kRetired),
     DWS_COLUMN(steal_timeouts, kRun),
     DWS_COLUMN(steal_retries, kRun),
     DWS_COLUMN(token_regens, kRun),
@@ -376,7 +373,7 @@ const std::array kColumns{
 #undef DWS_COLUMN
 
 bool in_csv(Emit emit, bool wall_clock) {
-  return emit != Emit::kRetired && (emit != Emit::kWall || wall_clock);
+  return emit != Emit::kWall || wall_clock;
 }
 
 bool in_jsonl(Emit emit, const SweepRecord& rec, bool wall_clock) {
@@ -735,11 +732,10 @@ support::Status parse_version(std::string_view line, std::string_view prefix,
           .ec != std::errc{}) {
     version = 0;  // reported as unsupported below
   }
-  if (version < kRecordMinSchemaVersion || version > kRecordSchemaVersion) {
+  if (version != kRecordSchemaVersion) {
     return support::Status::error(
         "record parse: unsupported schema version " +
         std::to_string(version) + " (this build reads " +
-        std::to_string(kRecordMinSchemaVersion) + ".." +
         std::to_string(kRecordSchemaVersion) + ")");
   }
   return support::Status::ok();

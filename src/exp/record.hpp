@@ -26,41 +26,21 @@ namespace dws::exp {
 /// the host wall-clock columns, which RecordOptions::wall_clock can drop
 /// (the determinism tests and diff-based workflows do).
 ///
-/// Version history:
-///   1 — initial schema.
-///   2 — adds `engine_peak_pending` (event-queue high-water mark) and
-///       `net_peak_channels` (peak live (src,dst) network channels).
-///   3 — adds the fault/robustness counters: `steal_timeouts`,
-///       `steal_retries`, `token_regens` (steal-protocol recovery) and
-///       `net_drops`, `net_dups` (fault::Injector message verdicts).
-///   4 — adds `backend` (which engine ran the point: "sim" or "rt") and
-///       `per_node_cost_ns` (mean node-expansion cost the run's metrics are
-///       anchored to — the configured model cost on the simulator, the
-///       *measured* wall-clock mean on the native runtime). For rt points,
-///       runtime_ms/wall_s are real measured time.
-///   5 — drops `engine_peak_pending` and `net_peak_channels`. Both measured
-///       implementation occupancy, not simulation results, and with the
-///       sharded engine they depend on how many shard engines the run was
-///       split across — keeping them would break the invariant that records
-///       are a pure function of the simulated configuration (sim_shards is
-///       an execution strategy, deliberately absent from records and from
-///       canonical_config, so any shard count must emit identical bytes).
-///   6 — multi-tenant service runs (svc::run_service). Every record gains a
-///       `row` discriminator ("run" — the existing per-point record — or
-///       "job"); run rows gain `jobs` (count) and the job-stream tail
-///       metrics `makespan_p50_ms`/`makespan_p99_ms`,
-///       `queue_wait_p50_ms`/`queue_wait_p99_ms`,
-///       `sched_latency_p50_ms`/`sched_latency_p99_ms` (nearest-rank
-///       percentiles over the per-job samples; all zero for single-job
-///       points). A service point additionally emits one "job" row per job,
-///       in job-id order, carrying the `job_*` columns (placement, timing
-///       and work counters of that job). Single-job points emit exactly one
-///       "run" row, so a v6 stream of a non-service sweep differs from v5
-///       only by the new columns.
-/// RecordWriter writes the current version only; read_records accepts all
-/// of them.
+/// Version 6 columns, besides the run's identity and result counters: the
+/// fault/robustness counters (`steal_timeouts`, `steal_retries`,
+/// `token_regens`, `net_drops`, `net_dups`), `backend` ("sim" or "rt") with
+/// `per_node_cost_ns` (the configured node cost on the simulator, the
+/// measured mean on the native runtime), and the service columns. Every
+/// record has a `row` discriminator: "run" (one per point) or "job" (one
+/// per job of a service point, in job-id order, carrying the `job_*`
+/// columns). Run rows carry `jobs` and nearest-rank p50/p99 of the per-job
+/// makespan, queue wait and scheduling latency (zero for single-job
+/// points). No column measures implementation occupancy (queue depth,
+/// live channels): that varies with sim_shards, an execution strategy that
+/// must not change a record's bytes.
+///
+/// RecordWriter writes this version and read_records reads only it.
 inline constexpr int kRecordSchemaVersion = 6;
-inline constexpr int kRecordMinSchemaVersion = 1;
 
 enum class RecordFormat { kJsonl, kCsv };
 
@@ -96,8 +76,8 @@ class RecordWriter {
 };
 
 /// One record row: RecordWriter renders one per run row and per job row,
-/// read_records parses them back. Fields introduced by later schema
-/// versions are zero / empty when reading an older file.
+/// read_records parses them back. Columns a row does not carry stay zero /
+/// empty.
 struct SweepRecord {
   std::uint64_t index = 0;
   std::vector<std::pair<std::string, std::string>> coords;  // read from JSONL
@@ -129,18 +109,15 @@ struct SweepRecord {
   std::uint64_t net_messages = 0;
   std::uint64_t net_bytes = 0;
   std::uint64_t engine_events = 0;
-  std::uint64_t engine_peak_pending = 0;  // v2..v4 files only
-  std::uint64_t net_peak_channels = 0;    // v2..v4 files only
-  std::uint64_t steal_timeouts = 0;       // v3+
-  std::uint64_t steal_retries = 0;        // v3+
-  std::uint64_t token_regens = 0;         // v3+
-  std::uint64_t net_drops = 0;            // v3+
-  std::uint64_t net_dups = 0;             // v3+
-  std::string backend;                    // v4+ ("sim" / "rt")
-  std::uint64_t per_node_cost_ns = 0;     // v4+
+  std::uint64_t steal_timeouts = 0;
+  std::uint64_t steal_retries = 0;
+  std::uint64_t token_regens = 0;
+  std::uint64_t net_drops = 0;
+  std::uint64_t net_dups = 0;
+  std::string backend;                    // "sim" / "rt"
+  std::uint64_t per_node_cost_ns = 0;
 
-  // v6+ — service (multi-tenant) fields. `row` is empty when reading a
-  // pre-v6 file; such records are all run rows.
+  // Service (multi-tenant) fields.
   std::string row;                        // "run" / "job"
   std::uint64_t jobs = 0;                 // run rows: jobs in the point
   double makespan_p50_ms = 0.0;
@@ -182,10 +159,8 @@ struct RecordFile {
 };
 
 /// Parses a stream produced by RecordWriter (either wire format,
-/// auto-detected from the first line). Accepts every schema version in
-/// [kRecordMinSchemaVersion, kRecordSchemaVersion]; fields a version
-/// predates are left at their zero defaults. Returns the first syntax or
-/// version problem found.
+/// auto-detected from the first line). Accepts kRecordSchemaVersion only.
+/// Returns the first syntax or version problem found.
 support::Expected<RecordFile> read_records(std::istream& in);
 
 /// JSON string escaping (quotes, backslashes, control characters).

@@ -21,14 +21,7 @@ void Engine::execute(const Event& ev) {
 
   now_ = ev.time;
   ++executed_;
-  if (ev.sink != nullptr) {
-    ev.sink->on_event(ev);
-    return;
-  }
-  // kGeneric: move the closure out of its slot first — the action may
-  // schedule more events and reuse the slot.
-  Action action = actions_.take(ev.payload);
-  action();
+  ev.sink->on_event(ev);
 }
 
 bool Engine::step() {
@@ -39,9 +32,8 @@ bool Engine::step() {
 }
 
 std::uint64_t Engine::run(std::uint64_t max_events) {
-  stopped_ = false;
   std::uint64_t n = 0;
-  while (n < max_events && !stopped_ && step()) ++n;
+  while (n < max_events && step()) ++n;
   return n;
 }
 

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 #include "sim/event.hpp"
-#include "sim/pool.hpp"
 #include "sim/queue.hpp"
 #include "support/check.hpp"
 #include "support/sim_time.hpp"
@@ -28,19 +26,12 @@ namespace dws::sim {
 /// executes exactly the events that fall inside one conservative
 /// synchronization window.
 ///
-/// Two scheduling flavours share one queue and one total order:
-///
-///  - typed events (the hot path): a fixed-size POD record dispatched with
-///    a single indirect call to the scheduling EventSink — no per-event
-///    allocation, no type erasure (sim::Network, ws::Worker and
-///    svc::Controller enumerate their continuations as EventKinds);
-///  - generic events (EventKind::kGeneric): the std::function escape hatch
-///    for tests and examples. The closure lives in a slab pool slot, so
-///    even this path allocates only what std::function itself needs.
+/// Every event is typed: a fixed-size POD record dispatched with a single
+/// indirect call to the scheduling EventSink — no per-event allocation, no
+/// type erasure (sim::Network, ws::Worker and svc::Controller enumerate
+/// their continuations as EventKinds).
 class Engine {
  public:
-  using Action = std::function<void()>;
-
   explicit Engine(std::uint32_t shard_id = 0) : shard_id_(shard_id) {}
 
   support::SimTime now() const noexcept { return now_; }
@@ -58,20 +49,15 @@ class Engine {
                       payload, src});
   }
 
-  /// Typed event `delay` ns after the current virtual time.
+  /// Typed event `delay` ns after the current virtual time. Negative delays
+  /// and delays that would overflow SimTime fail a DWS_CHECK instead of
+  /// wrapping the clock (signed overflow would otherwise be UB *and* a
+  /// silently corrupted schedule).
   void schedule_after(support::SimTime delay, EventSink& sink, EventKind kind,
                       std::uint32_t rank = 0, std::uint32_t payload = 0,
                       std::uint32_t src = 0) {
     check_delay(delay);
     schedule_at(now_ + delay, sink, kind, rank, payload, src);
-  }
-
-  /// Schedule `action` at absolute virtual time `t` (>= now).
-  void schedule_at(support::SimTime t, Action action) {
-    DWS_CHECK(t >= now_);
-    const std::uint32_t handle = actions_.acquire(std::move(action));
-    queue_.push(Event{t, now_, next_seq_++, nullptr, EventKind::kGeneric, 0,
-                      shard_id_, handle});
   }
 
   /// Cross-shard injection (the mailbox drain path of the sharded core):
@@ -91,19 +77,10 @@ class Engine {
                       payload, src});
   }
 
-  /// Schedule `action` `delay` ns after the current virtual time. Negative
-  /// delays and delays that would overflow SimTime fail a DWS_CHECK instead
-  /// of wrapping the clock (signed overflow would otherwise be UB *and* a
-  /// silently corrupted schedule).
-  void schedule_after(support::SimTime delay, Action action) {
-    check_delay(delay);
-    schedule_at(now_ + delay, std::move(action));
-  }
-
   /// Execute the earliest pending event. Returns false when none remain.
   bool step();
 
-  /// Run until the queue drains, stop() is called, or `max_events` fire.
+  /// Run until the queue drains or `max_events` fire.
   /// Returns the number of events executed by this call.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
@@ -116,10 +93,6 @@ class Engine {
   support::SimTime next_event_time(support::SimTime horizon) {
     return queue_.empty() ? horizon : queue_.peek_time();
   }
-
-  /// Halt run() after the current event; pending events stay queued.
-  void stop() noexcept { stopped_ = true; }
-  bool stopped() const noexcept { return stopped_; }
 
   std::uint64_t events_executed() const noexcept { return executed_; }
   std::size_t pending() const noexcept { return queue_.size(); }
@@ -148,18 +121,16 @@ class Engine {
   void execute(const Event& ev);
 
   CalendarQueue queue_;
-  SlabPool<Action> actions_;  // kGeneric closures, recycled by handle
   support::SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint32_t shard_id_ = 0;
-  bool stopped_ = false;
   // Ambiguity detection: the previous executed event's structural key.
   // Equal-key runs pop contiguously, so an adjacent comparison catches every
-  // mixed-origin tie group.
+  // mixed-origin tie group; prev_time_ = -1 matches no first event.
   support::SimTime prev_time_ = -1;
   support::SimTime prev_t_sched_ = -1;
-  EventKind prev_kind_ = EventKind::kGeneric;
+  EventKind prev_kind_ = EventKind::kNetworkDeliver;
   std::uint32_t prev_rank_ = 0;
   std::uint32_t prev_src_ = 0;
   std::uint32_t prev_origin_ = 0;

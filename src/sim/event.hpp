@@ -9,13 +9,12 @@ namespace dws::sim {
 class EventSink;
 
 /// Typed event vocabulary of the simulator (see DESIGN.md §9). The engine
-/// itself interprets only kGeneric (the std::function escape hatch used by
-/// tests and examples); every other kind belongs to the EventSink that
-/// scheduled it, which decodes `rank`/`payload` accordingly. Keeping the
-/// full table in one place documents the event model and keeps kinds unique
-/// across layers, even though sim/ never dispatches the ws/svc ones.
+/// interprets no kind itself: each belongs to the EventSink that scheduled
+/// it, which decodes `rank`/`payload` accordingly. Keeping the full table in
+/// one place documents the event model and keeps kinds unique across
+/// layers, even though sim/ never dispatches the ws/svc ones. The order of
+/// the kinds is part of the event ordering key below.
 enum class EventKind : std::uint32_t {
-  kGeneric = 0,       ///< engine-owned closure; payload = action-pool handle
   kNetworkDeliver,    ///< sim::Network: rank = dst, payload = in-flight handle
   kWorkerStart,       ///< ws::Worker t = 0 bootstrap; rank = worker rank
   kWorkerStep,        ///< ws::Worker poll/expand boundary; rank = worker rank
@@ -34,7 +33,7 @@ enum class EventKind : std::uint32_t {
 /// dispatch is a single indirect call through `sink`. Payload data larger
 /// than the inline `payload` handle lives in a SlabPool owned by whoever
 /// scheduled the event (the network's in-flight messages, the worker's
-/// packaged responses, the engine's generic actions).
+/// packaged responses).
 ///
 /// Ordering (DESIGN.md §12): events fire in
 ///     (time, t_sched, kind, rank, src, seq)
@@ -61,8 +60,8 @@ struct Event {
   support::SimTime time = 0;
   support::SimTime t_sched = 0;    ///< virtual time the schedule call ran at
   std::uint64_t seq = 0;           ///< local insertion order; final tiebreak
-  EventSink* sink = nullptr;       ///< null => engine-owned kGeneric action
-  EventKind kind = EventKind::kGeneric;
+  EventSink* sink = nullptr;       ///< receiver, called by Engine::execute
+  EventKind kind = EventKind::kNetworkDeliver;
   std::uint32_t rank = 0;          ///< kind-defined (usually the target rank)
   std::uint32_t origin = 0;        ///< scheduling shard (0 when unsharded)
   std::uint32_t payload = 0;       ///< kind-defined pool handle / small value

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "sim/pool.hpp"
 #include "support/open_table.hpp"
 #include "support/sim_time.hpp"
 #include "topo/latency.hpp"
@@ -174,8 +174,9 @@ class ChannelTable {
 /// schedules one typed kNetworkDeliver event carrying the pool handle — no
 /// per-message closure and no per-message allocation. The steal protocol's
 /// messages are trivially copyable (stolen chunks stay in the run's
-/// proto::PayloadStore), so each hop through here is a plain copy. `Deliver` defaults to std::function for tests; the ws
-/// scheduler passes a concrete functor so delivery is a direct call.
+/// proto::PayloadStore), so each hop through here is a plain copy. `Deliver`
+/// is a concrete functor, `void(topo::Rank dst, Message)`, so delivery is a
+/// direct call.
 ///
 /// Channel lifecycle: the non-overtaking clamp needs a channel's previous
 /// arrival time only while a delivery is still in flight — once the last one
@@ -219,8 +220,7 @@ class ChannelTable {
 /// only boundaries at or before t - window <= t - lookahead, all sealed by
 /// past barriers, so the loads it sees — and hence every latency — are
 /// identical to the serial run's.
-template <typename Message,
-          typename Deliver = std::function<void(topo::Rank, Message)>>
+template <typename Message, typename Deliver>
 class Network final : public EventSink {
  public:
   /// Shard routing seam. `is_remote` classifies a destination rank;

@@ -11,14 +11,13 @@ namespace dws::sim {
 /// Slab + freelist object pool addressed by 32-bit handles.
 ///
 /// Backs every payload too big for the inline Event::payload field: the
-/// network's in-flight messages, the worker's packaged steal responses, the
-/// engine's generic actions; and, behind a mutex, the chunks parked in a
-/// proto::PayloadStore. Slots are recycled through the freelist, so a
-/// steady-state schedule/dispatch cycle performs zero heap allocations once
-/// the slab has grown to the workload's high-water mark. Messages and
-/// packaged responses are plain bytes; only the payload store's slots own
-/// heap memory (chunk vectors), and reusing one move-assigns over the
-/// previous moved-from value.
+/// network's in-flight messages and the worker's packaged steal responses,
+/// and, behind a mutex, the chunks parked in a proto::PayloadStore. Slots
+/// are recycled through the freelist, so a steady-state schedule/dispatch
+/// cycle performs zero heap allocations once the slab has grown to the
+/// workload's high-water mark. Messages and packaged responses are plain
+/// bytes; only the payload store's slots own heap memory (chunk vectors),
+/// and reusing one move-assigns over the previous moved-from value.
 ///
 /// Handles are invalidated by take(); acquiring after a take may reuse the
 /// handle. The pool never shrinks within a run.

@@ -131,7 +131,7 @@ struct RunResult {
   /// High-water mark of the engine's pending-event queue (calendar depth;
   /// the max over shard engines in a sharded run). Diagnostic only: unlike
   /// every field above it this depends on the execution strategy, which is
-  /// why schema v5 dropped it from records.
+  /// why records do not carry it.
   std::uint64_t engine_peak_pending = 0;
   /// Shard count the run actually executed with (partitioning caps the
   /// requested sim_shards at the node count).

@@ -203,7 +203,7 @@ TEST(RecordWriter, JsonlSchemaHeaderAndOneLinePerPoint) {
   EXPECT_NE(text.find("\"version\":6"), std::string::npos);
   EXPECT_NE(text.find("\"coords\":{\"ranks\":\"4\"}"), std::string::npos);
   EXPECT_EQ(text.find("wall_s"), std::string::npos);  // wall_clock=false
-  EXPECT_EQ(text.find("peak"), std::string::npos);  // retired in v5
+  EXPECT_EQ(text.find("peak"), std::string::npos);  // no occupancy column
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
 }
 
@@ -226,7 +226,7 @@ TEST(RecordWriter, CsvHasSchemaCommentHeaderAndRows) {
   const std::string text = out.str();
   EXPECT_NE(text.find("# schema=dws.exp.sweep version=6"), std::string::npos);
   EXPECT_NE(text.find("index,"), std::string::npos);
-  EXPECT_EQ(text.find("peak"), std::string::npos);  // retired in v5
+  EXPECT_EQ(text.find("peak"), std::string::npos);  // no occupancy column
   // comment + header + 2 rows
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
 }
@@ -260,188 +260,6 @@ TEST(RecordSchema, V4RoundTripsBackendAndMeasuredCost) {
   const SweepRecord& rec = file.value().records.front();
   EXPECT_EQ(rec.backend, "rt");
   EXPECT_EQ(rec.per_node_cost_ns, 1234u);
-}
-
-/// One-point streams of fake_report() over base_config(), exactly as
-/// RecordWriter emitted them at schema v1..v5, in both wire formats. The
-/// writer now emits the current version only; the reader must keep reading
-/// these.
-struct HistoricalStream {
-  int version;
-  const char* jsonl;
-  const char* csv;
-};
-
-const HistoricalStream kHistoricalStreams[] = {
-    {1,
-     R"({"schema":"dws.exp.sweep","version":1})" "\n"
-     R"({"index":0,"coords":{},"fingerprint":"c207fdce0b44",)"
-     R"("tree":"TEST_BIN_SMALL","ranks":8,"placement":"1/N",)"
-     R"("procs_per_node":1,"policy":"Reference","steal":"OneChunk",)"
-     R"("chunk":20,"sha_rounds":1,"seed":1,"ok":true,"runtime_ms":0,)"
-     R"("speedup":0,"efficiency":0,"nodes":100,"leaves":50,)"
-     R"("steal_attempts":0,"failed_steals":0,"successful_steals":0,)"
-     R"("sessions":0,"mean_session_ms":0,"mean_search_ms":0,)"
-     R"("mean_steal_distance":0,"net_messages":0,"net_bytes":0,)"
-     R"("engine_events":4321})" "\n",
-     R"(# schema=dws.exp.sweep version=1)" "\n"
-     R"(index,point,fingerprint,tree,ranks,placement,procs_per_node,)"
-     R"(policy,steal,chunk,sha_rounds,seed,ok,error,runtime_ms,)"
-     R"(speedup,efficiency,nodes,leaves,steal_attempts,failed_steals,)"
-     R"(successful_steals,sessions,mean_session_ms,mean_search_ms,)"
-     R"(mean_steal_distance,net_messages,net_bytes,engine_events)" "\n"
-     R"(0,base,c207fdce0b44,TEST_BIN_SMALL,8,1/N,1,Reference,OneChunk,)"
-     R"(20,1,1,1,,0,0,0,100,50,0,0,0,0,0,0,0,0,0,4321)" "\n"},
-    {2,
-     R"({"schema":"dws.exp.sweep","version":2})" "\n"
-     R"({"index":0,"coords":{},"fingerprint":"c207fdce0b44",)"
-     R"("tree":"TEST_BIN_SMALL","ranks":8,"placement":"1/N",)"
-     R"("procs_per_node":1,"policy":"Reference","steal":"OneChunk",)"
-     R"("chunk":20,"sha_rounds":1,"seed":1,"ok":true,"runtime_ms":0,)"
-     R"("speedup":0,"efficiency":0,"nodes":100,"leaves":50,)"
-     R"("steal_attempts":0,"failed_steals":0,"successful_steals":0,)"
-     R"("sessions":0,"mean_session_ms":0,"mean_search_ms":0,)"
-     R"("mean_steal_distance":0,"net_messages":0,"net_bytes":0,)"
-     R"("engine_events":4321,"engine_peak_pending":77,)"
-     R"("net_peak_channels":13})" "\n",
-     R"(# schema=dws.exp.sweep version=2)" "\n"
-     R"(index,point,fingerprint,tree,ranks,placement,procs_per_node,)"
-     R"(policy,steal,chunk,sha_rounds,seed,ok,error,runtime_ms,)"
-     R"(speedup,efficiency,nodes,leaves,steal_attempts,failed_steals,)"
-     R"(successful_steals,sessions,mean_session_ms,mean_search_ms,)"
-     R"(mean_steal_distance,net_messages,net_bytes,engine_events,)"
-     R"(engine_peak_pending,net_peak_channels)" "\n"
-     R"(0,base,c207fdce0b44,TEST_BIN_SMALL,8,1/N,1,Reference,OneChunk,)"
-     R"(20,1,1,1,,0,0,0,100,50,0,0,0,0,0,0,0,0,0,4321,77,13)" "\n"},
-    {3,
-     R"({"schema":"dws.exp.sweep","version":3})" "\n"
-     R"({"index":0,"coords":{},"fingerprint":"c207fdce0b44",)"
-     R"("tree":"TEST_BIN_SMALL","ranks":8,"placement":"1/N",)"
-     R"("procs_per_node":1,"policy":"Reference","steal":"OneChunk",)"
-     R"("chunk":20,"sha_rounds":1,"seed":1,"ok":true,"runtime_ms":0,)"
-     R"("speedup":0,"efficiency":0,"nodes":100,"leaves":50,)"
-     R"("steal_attempts":0,"failed_steals":0,"successful_steals":0,)"
-     R"("sessions":0,"mean_session_ms":0,"mean_search_ms":0,)"
-     R"("mean_steal_distance":0,"net_messages":0,"net_bytes":0,)"
-     R"("engine_events":4321,"engine_peak_pending":77,)"
-     R"("net_peak_channels":13,"steal_timeouts":5,"steal_retries":4,)"
-     R"("token_regens":2,"net_drops":9,"net_dups":3})" "\n",
-     R"(# schema=dws.exp.sweep version=3)" "\n"
-     R"(index,point,fingerprint,tree,ranks,placement,procs_per_node,)"
-     R"(policy,steal,chunk,sha_rounds,seed,ok,error,runtime_ms,)"
-     R"(speedup,efficiency,nodes,leaves,steal_attempts,failed_steals,)"
-     R"(successful_steals,sessions,mean_session_ms,mean_search_ms,)"
-     R"(mean_steal_distance,net_messages,net_bytes,engine_events,)"
-     R"(engine_peak_pending,net_peak_channels,steal_timeouts,)"
-     R"(steal_retries,token_regens,net_drops,net_dups)" "\n"
-     R"(0,base,c207fdce0b44,TEST_BIN_SMALL,8,1/N,1,Reference,OneChunk,)"
-     R"(20,1,1,1,,0,0,0,100,50,0,0,0,0,0,0,0,0,0,4321,77,13,5,4,2,9,3)" "\n"},
-    {4,
-     R"({"schema":"dws.exp.sweep","version":4})" "\n"
-     R"({"index":0,"coords":{},"fingerprint":"c207fdce0b44",)"
-     R"("tree":"TEST_BIN_SMALL","ranks":8,"placement":"1/N",)"
-     R"("procs_per_node":1,"policy":"Reference","steal":"OneChunk",)"
-     R"("chunk":20,"sha_rounds":1,"seed":1,"ok":true,"runtime_ms":0,)"
-     R"("speedup":0,"efficiency":0,"nodes":100,"leaves":50,)"
-     R"("steal_attempts":0,"failed_steals":0,"successful_steals":0,)"
-     R"("sessions":0,"mean_session_ms":0,"mean_search_ms":0,)"
-     R"("mean_steal_distance":0,"net_messages":0,"net_bytes":0,)"
-     R"("engine_events":4321,"engine_peak_pending":77,)"
-     R"("net_peak_channels":13,"steal_timeouts":5,"steal_retries":4,)"
-     R"("token_regens":2,"net_drops":9,"net_dups":3,"backend":"sim",)"
-     R"("per_node_cost_ns":0})" "\n",
-     R"(# schema=dws.exp.sweep version=4)" "\n"
-     R"(index,point,fingerprint,tree,ranks,placement,procs_per_node,)"
-     R"(policy,steal,chunk,sha_rounds,seed,ok,error,runtime_ms,)"
-     R"(speedup,efficiency,nodes,leaves,steal_attempts,failed_steals,)"
-     R"(successful_steals,sessions,mean_session_ms,mean_search_ms,)"
-     R"(mean_steal_distance,net_messages,net_bytes,engine_events,)"
-     R"(engine_peak_pending,net_peak_channels,steal_timeouts,)"
-     R"(steal_retries,token_regens,net_drops,net_dups,backend,)"
-     R"(per_node_cost_ns)" "\n"
-     R"(0,base,c207fdce0b44,TEST_BIN_SMALL,8,1/N,1,Reference,OneChunk,)"
-     R"(20,1,1,1,,0,0,0,100,50,0,0,0,0,0,0,0,0,0,4321,77,13,5,4,2,9,3,)"
-     R"(sim,0)" "\n"},
-    {5,
-     R"({"schema":"dws.exp.sweep","version":5})" "\n"
-     R"({"index":0,"coords":{},"fingerprint":"c207fdce0b44",)"
-     R"("tree":"TEST_BIN_SMALL","ranks":8,"placement":"1/N",)"
-     R"("procs_per_node":1,"policy":"Reference","steal":"OneChunk",)"
-     R"("chunk":20,"sha_rounds":1,"seed":1,"ok":true,"runtime_ms":0,)"
-     R"("speedup":0,"efficiency":0,"nodes":100,"leaves":50,)"
-     R"("steal_attempts":0,"failed_steals":0,"successful_steals":0,)"
-     R"("sessions":0,"mean_session_ms":0,"mean_search_ms":0,)"
-     R"("mean_steal_distance":0,"net_messages":0,"net_bytes":0,)"
-     R"("engine_events":4321,"steal_timeouts":5,"steal_retries":4,)"
-     R"("token_regens":2,"net_drops":9,"net_dups":3,"backend":"sim",)"
-     R"("per_node_cost_ns":0})" "\n",
-     R"(# schema=dws.exp.sweep version=5)" "\n"
-     R"(index,point,fingerprint,tree,ranks,placement,procs_per_node,)"
-     R"(policy,steal,chunk,sha_rounds,seed,ok,error,runtime_ms,)"
-     R"(speedup,efficiency,nodes,leaves,steal_attempts,failed_steals,)"
-     R"(successful_steals,sessions,mean_session_ms,mean_search_ms,)"
-     R"(mean_steal_distance,net_messages,net_bytes,engine_events,)"
-     R"(steal_timeouts,steal_retries,token_regens,net_drops,net_dups,)"
-     R"(backend,per_node_cost_ns)" "\n"
-     R"(0,base,c207fdce0b44,TEST_BIN_SMALL,8,1/N,1,Reference,OneChunk,)"
-     R"(20,1,1,1,,0,0,0,100,50,0,0,0,0,0,0,0,0,0,4321,5,4,2,9,3,sim,0)" "\n"},
-};
-static_assert(std::size(kHistoricalStreams) ==
-              kRecordSchemaVersion - kRecordMinSchemaVersion);
-
-/// Parses both wire formats of the historical v`version` stream and hands
-/// each file's one record to `check`.
-template <typename Check>
-void check_historical(int version, Check check) {
-  const HistoricalStream& h =
-      kHistoricalStreams[version - kRecordMinSchemaVersion];
-  ASSERT_EQ(h.version, version);
-  for (const char* text : {h.jsonl, h.csv}) {
-    SCOPED_TRACE(text == h.jsonl ? "jsonl" : "csv");
-    std::istringstream in(text);
-    const auto file = read_records(in);
-    ASSERT_TRUE(file.has_value()) << file.error();
-    EXPECT_EQ(file.value().version, version);
-    ASSERT_EQ(file.value().records.size(), 1u);
-    check(file.value().records[0]);
-  }
-}
-
-TEST(RecordSchema, V2StaysReadableWithoutTheV3Fields) {
-  check_historical(2, [](const SweepRecord& rec) {
-    EXPECT_EQ(rec.ranks, 8u);  // the v2 payload itself parsed
-    EXPECT_EQ(rec.engine_peak_pending, 77u);
-    EXPECT_EQ(rec.steal_timeouts, 0u);  // v2 predates the counters
-    EXPECT_EQ(rec.net_drops, 0u);
-    EXPECT_EQ(rec.net_dups, 0u);
-  });
-}
-
-TEST(RecordSchema, V3StaysReadableWithoutTheV4Fields) {
-  check_historical(3, [](const SweepRecord& rec) {
-    EXPECT_EQ(rec.steal_timeouts, 5u);
-    EXPECT_EQ(rec.net_dups, 3u);
-    EXPECT_TRUE(rec.backend.empty());
-    EXPECT_EQ(rec.per_node_cost_ns, 0u);
-  });
-}
-
-TEST(RecordSchema, V4ReadsThePeakColumns) {
-  check_historical(4, [](const SweepRecord& rec) {
-    EXPECT_EQ(rec.engine_peak_pending, 77u);
-    EXPECT_EQ(rec.net_peak_channels, 13u);
-    EXPECT_EQ(rec.backend, "sim");
-  });
-}
-
-TEST(RecordSchema, V5StaysReadableWithoutTheServiceColumns) {
-  check_historical(5, [](const SweepRecord& rec) {
-    EXPECT_EQ(rec.engine_peak_pending, 0u);  // dropped in v5
-    EXPECT_EQ(rec.net_peak_channels, 0u);
-    EXPECT_TRUE(rec.row.empty());  // pre-v6: every record is a run row
-    EXPECT_FALSE(rec.is_job_row());
-    EXPECT_EQ(rec.jobs, 0u);
-  });
 }
 
 /// A fake service point: the fake report plus two JobOutcomes, enough for
@@ -621,31 +439,6 @@ TEST(RecordSchema, V6ServicePointRoundTripsCsv) {
   EXPECT_DOUBLE_EQ(file.value().records[2].job_makespan_ms, 20.0);
 }
 
-TEST(RecordReader, AcceptsEveryHistoricalSchemaVersion) {
-  for (int v = kRecordMinSchemaVersion; v < kRecordSchemaVersion; ++v) {
-    SCOPED_TRACE("v" + std::to_string(v));
-    check_historical(v, [](const SweepRecord& rec) {
-      EXPECT_TRUE(rec.ok);
-      EXPECT_EQ(rec.nodes, 100u);
-      EXPECT_EQ(rec.engine_events, 4321u);
-    });
-  }
-  SweepSpec spec(base_config());
-  const auto points = spec.expand().value();
-  for (const RecordFormat fmt : {RecordFormat::kJsonl, RecordFormat::kCsv}) {
-    std::ostringstream out;
-    RecordWriter writer(out, RecordOptions{fmt, false});
-    writer.write_report(points, fake_report(points));
-    std::istringstream in(out.str());
-    const auto file = read_records(in);
-    ASSERT_TRUE(file.has_value()) << file.error();
-    EXPECT_EQ(file.value().version, kRecordSchemaVersion);
-    ASSERT_EQ(file.value().records.size(), 1u);
-    EXPECT_TRUE(file.value().records[0].ok);
-    EXPECT_EQ(file.value().records[0].nodes, 100u);
-  }
-}
-
 TEST(RecordReader, RoundTripsJsonlCurrent) {
   SweepSpec spec(base_config());
   spec.axis(ranks_axis({2, 4}));
@@ -666,9 +459,6 @@ TEST(RecordReader, RoundTripsJsonlCurrent) {
   EXPECT_TRUE(rec.ok);
   EXPECT_EQ(rec.nodes, 100u);
   EXPECT_EQ(rec.engine_events, 4321u);
-  // v5 dropped the occupancy columns (they vary with sim_shards).
-  EXPECT_EQ(rec.engine_peak_pending, 0u);
-  EXPECT_EQ(rec.net_peak_channels, 0u);
   EXPECT_EQ(rec.steal_timeouts, 5u);
   EXPECT_EQ(rec.steal_retries, 4u);
   EXPECT_EQ(rec.token_regens, 2u);
@@ -698,23 +488,10 @@ TEST(RecordReader, RoundTripsCsvCurrent) {
   const SweepRecord& rec = file.value().records[0];
   EXPECT_EQ(rec.ranks, 2u);
   EXPECT_TRUE(rec.ok);
-  EXPECT_EQ(rec.engine_peak_pending, 0u);  // absent since v5
-  EXPECT_EQ(rec.net_peak_channels, 0u);
   EXPECT_EQ(rec.steal_timeouts, 5u);
   EXPECT_EQ(rec.net_dups, 3u);
   EXPECT_TRUE(rec.has_wall_s);
   EXPECT_DOUBLE_EQ(rec.wall_s, 1.25);
-}
-
-TEST(RecordReader, AcceptsV1FilesWithZeroedNewFields) {
-  check_historical(1, [](const SweepRecord& rec) {
-    EXPECT_EQ(rec.engine_events, 4321u);
-    EXPECT_EQ(rec.engine_peak_pending, 0u);  // v1: absent
-    EXPECT_EQ(rec.net_peak_channels, 0u);
-    EXPECT_EQ(rec.steal_timeouts, 0u);
-    EXPECT_TRUE(rec.backend.empty());
-    EXPECT_TRUE(rec.row.empty());
-  });
 }
 
 TEST(RecordReader, RejectsUnsupportedVersionsAndGarbage) {
@@ -724,6 +501,21 @@ TEST(RecordReader, RejectsUnsupportedVersionsAndGarbage) {
     ASSERT_FALSE(file.has_value());
     EXPECT_NE(file.error().find("unsupported schema version"),
               std::string::npos);
+  }
+  // Retired versions are refused in both wire formats, rows and all.
+  for (const int v : {1, 5}) {
+    const std::string want = "unsupported schema version " +
+                             std::to_string(v) + " (this build reads 6)";
+    for (const std::string& text :
+         {"{\"schema\":\"dws.exp.sweep\",\"version\":" + std::to_string(v) +
+              "}\n{\"index\":0,\"nodes\":100}\n",
+          "# schema=dws.exp.sweep version=" + std::to_string(v) +
+              "\nindex,nodes\n0,100\n"}) {
+      std::istringstream in(text);
+      const auto file = read_records(in);
+      ASSERT_FALSE(file.has_value()) << text;
+      EXPECT_NE(file.error().find(want), std::string::npos) << file.error();
+    }
   }
   {
     std::istringstream in("not a record stream\n");

@@ -125,11 +125,14 @@ TEST(SteadyStateAllocation, NetworkSendDeliverAllocatesNothing) {
   topo::JobLayout layout(machine, 16, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
 
+  struct CountNonzero {
+    std::uint64_t* received;
+    void operator()(topo::Rank, std::uint64_t v) const { *received += v != 0; }
+  };
   Engine engine;
   std::uint64_t received = 0;
-  Network<std::uint64_t> network(
-      engine, latency,
-      [&received](topo::Rank, std::uint64_t v) { received += v != 0; });
+  Network<std::uint64_t, CountNonzero> network(engine, latency,
+                                               CountNonzero{&received});
 
   std::uint64_t noise = 1;
   const auto send_some = [&](int n) {

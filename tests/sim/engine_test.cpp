@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -10,149 +11,8 @@
 namespace dws::sim {
 namespace {
 
-TEST(Engine, StartsAtTimeZero) {
-  Engine e;
-  EXPECT_EQ(e.now(), 0);
-  EXPECT_EQ(e.pending(), 0u);
-  EXPECT_FALSE(e.step());
-}
-
-TEST(Engine, EventsFireInTimeOrder) {
-  Engine e;
-  std::vector<int> order;
-  e.schedule_at(30, [&] { order.push_back(3); });
-  e.schedule_at(10, [&] { order.push_back(1); });
-  e.schedule_at(20, [&] { order.push_back(2); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(e.now(), 30);
-}
-
-TEST(Engine, TiesFireInScheduleOrder) {
-  Engine e;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    e.schedule_at(5, [&order, i] { order.push_back(i); });
-  }
-  e.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Engine, NowAdvancesToEventTime) {
-  Engine e;
-  support::SimTime seen = -1;
-  e.schedule_at(42, [&] { seen = e.now(); });
-  e.run();
-  EXPECT_EQ(seen, 42);
-  EXPECT_EQ(e.now(), 42);
-}
-
-TEST(Engine, ScheduleAfterIsRelative) {
-  Engine e;
-  support::SimTime inner = -1;
-  e.schedule_at(100, [&] {
-    e.schedule_after(50, [&] { inner = e.now(); });
-  });
-  e.run();
-  EXPECT_EQ(inner, 150);
-}
-
-TEST(Engine, EventsCanScheduleMoreEvents) {
-  Engine e;
-  int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 5) e.schedule_after(1, chain);
-  };
-  e.schedule_at(0, chain);
-  e.run();
-  EXPECT_EQ(fired, 5);
-  EXPECT_EQ(e.now(), 4);
-}
-
-TEST(Engine, StopHaltsRun) {
-  Engine e;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    e.schedule_at(i, [&] {
-      ++fired;
-      if (fired == 3) e.stop();
-    });
-  }
-  e.run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(e.pending(), 7u);
-  EXPECT_TRUE(e.stopped());
-}
-
-TEST(Engine, RunAgainAfterStopResumes) {
-  Engine e;
-  int fired = 0;
-  for (int i = 0; i < 4; ++i) {
-    e.schedule_at(i, [&] {
-      ++fired;
-      if (fired == 2) e.stop();
-    });
-  }
-  e.run();
-  EXPECT_EQ(fired, 2);
-  e.run();
-  EXPECT_EQ(fired, 4);
-}
-
-TEST(Engine, MaxEventsLimitsExecution) {
-  Engine e;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) e.schedule_at(i, [&] { ++fired; });
-  EXPECT_EQ(e.run(4), 4u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(e.run(), 6u);
-  EXPECT_EQ(fired, 10);
-}
-
-TEST(Engine, CountsExecutedEvents) {
-  Engine e;
-  for (int i = 0; i < 7; ++i) e.schedule_at(i, [] {});
-  e.run();
-  EXPECT_EQ(e.events_executed(), 7u);
-}
-
-TEST(Engine, SchedulingAtCurrentTimeIsAllowed) {
-  Engine e;
-  bool ran = false;
-  e.schedule_at(10, [&] { e.schedule_at(e.now(), [&] { ran = true; }); });
-  e.run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(e.now(), 10);
-}
-
-TEST(Engine, OverflowingDelayFailsTheCheckInsteadOfWrapping) {
-  // schedule_after(huge) used to wrap SimTime and fire the event in the past;
-  // now it must trip DWS_CHECK before corrupting the queue.
-  Engine e;
-  e.schedule_at(100, [] {});
-  e.run();
-  ASSERT_EQ(e.now(), 100);
-
-  struct CheckFailure {};
-  static bool tripped;
-  tripped = false;
-  const auto prev = support::set_check_handler(
-      [](const char*, const char*, int) { tripped = true; throw CheckFailure{}; });
-  EXPECT_THROW(
-      e.schedule_after(std::numeric_limits<support::SimTime>::max(), [] {}),
-      CheckFailure);
-  support::set_check_handler(prev);
-  EXPECT_TRUE(tripped);
-  EXPECT_EQ(e.pending(), 0u);  // the bad event was never enqueued
-
-  // A maximal-but-legal delay is still accepted.
-  e.schedule_after(std::numeric_limits<support::SimTime>::max() - e.now(),
-                   [] {});
-  EXPECT_EQ(e.pending(), 1u);
-}
-
-/// Records every typed event it receives, tagged with the engine clock.
+/// Records every typed event it receives, tagged with the engine clock, then
+/// hands it to `then` (when set) so a test can react by scheduling more.
 class RecordingSink final : public EventSink {
  public:
   struct Hit {
@@ -166,13 +26,147 @@ class RecordingSink final : public EventSink {
   explicit RecordingSink(Engine& engine) : engine_(engine) {}
   void on_event(const Event& ev) override {
     hits.push_back({engine_.now(), ev.kind, ev.rank, ev.payload});
+    if (then) then(ev);
+  }
+
+  /// Payloads of the hits so far, in firing order.
+  std::vector<std::uint32_t> payloads() const {
+    std::vector<std::uint32_t> out;
+    for (const Hit& h : hits) out.push_back(h.payload);
+    return out;
   }
 
   std::vector<Hit> hits;
+  std::function<void(const Event&)> then;
 
  private:
   Engine& engine_;
 };
+
+TEST(Engine, StartsAtTimeZero) {
+  Engine e;
+  EXPECT_EQ(e.now(), 0);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_FALSE(e.step());
+}
+
+TEST(Engine, EventsFireInTimeOrder) {
+  Engine e;
+  RecordingSink sink(e);
+  e.schedule_at(30, sink, EventKind::kWorkerStep, 0, 3);
+  e.schedule_at(10, sink, EventKind::kWorkerStep, 0, 1);
+  e.schedule_at(20, sink, EventKind::kWorkerStep, 0, 2);
+  e.run();
+  EXPECT_EQ(sink.payloads(), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(e.now(), 30);
+}
+
+TEST(Engine, TiesFireInScheduleOrder) {
+  Engine e;
+  RecordingSink sink(e);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    e.schedule_at(5, sink, EventKind::kWorkerStep, 0, i);
+  }
+  e.run();
+  ASSERT_EQ(sink.hits.size(), 10u);
+  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(sink.hits[i].payload, i);
+}
+
+TEST(Engine, NowAdvancesToEventTime) {
+  Engine e;
+  RecordingSink sink(e);
+  e.schedule_at(42, sink, EventKind::kWorkerStep);
+  e.run();
+  ASSERT_EQ(sink.hits.size(), 1u);
+  EXPECT_EQ(sink.hits[0].at, 42);
+  EXPECT_EQ(e.now(), 42);
+}
+
+TEST(Engine, ScheduleAfterIsRelative) {
+  Engine e;
+  RecordingSink sink(e);
+  sink.then = [&](const Event& ev) {
+    if (ev.payload == 0) {
+      e.schedule_after(50, sink, EventKind::kWorkerStep, 0, 1);
+    }
+  };
+  e.schedule_at(100, sink, EventKind::kWorkerStep, 0, 0);
+  e.run();
+  ASSERT_EQ(sink.hits.size(), 2u);
+  EXPECT_EQ(sink.hits[1].at, 150);
+}
+
+TEST(Engine, EventsCanScheduleMoreEvents) {
+  Engine e;
+  RecordingSink sink(e);
+  sink.then = [&](const Event&) {
+    if (sink.hits.size() < 5) e.schedule_after(1, sink, EventKind::kWorkerStep);
+  };
+  e.schedule_at(0, sink, EventKind::kWorkerStep);
+  e.run();
+  EXPECT_EQ(sink.hits.size(), 5u);
+  EXPECT_EQ(e.now(), 4);
+}
+
+TEST(Engine, MaxEventsLimitsExecution) {
+  Engine e;
+  RecordingSink sink(e);
+  for (int i = 0; i < 10; ++i) e.schedule_at(i, sink, EventKind::kWorkerStep);
+  EXPECT_EQ(e.run(4), 4u);
+  EXPECT_EQ(sink.hits.size(), 4u);
+  EXPECT_EQ(e.pending(), 6u);
+  EXPECT_EQ(e.run(), 6u);
+  EXPECT_EQ(sink.hits.size(), 10u);
+}
+
+TEST(Engine, CountsExecutedEvents) {
+  Engine e;
+  RecordingSink sink(e);
+  for (int i = 0; i < 7; ++i) e.schedule_at(i, sink, EventKind::kWorkerStep);
+  e.run();
+  EXPECT_EQ(e.events_executed(), 7u);
+}
+
+TEST(Engine, SchedulingAtCurrentTimeIsAllowed) {
+  Engine e;
+  RecordingSink sink(e);
+  sink.then = [&](const Event& ev) {
+    if (ev.payload == 0) {
+      e.schedule_at(e.now(), sink, EventKind::kWorkerStep, 0, 1);
+    }
+  };
+  e.schedule_at(10, sink, EventKind::kWorkerStep, 0, 0);
+  e.run();
+  EXPECT_EQ(sink.payloads(), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(e.now(), 10);
+}
+
+TEST(Engine, OverflowingDelayFailsTheCheckInsteadOfWrapping) {
+  // schedule_after(huge) used to wrap SimTime and fire the event in the past;
+  // now it must trip DWS_CHECK before corrupting the queue.
+  Engine e;
+  RecordingSink sink(e);
+  e.schedule_at(100, sink, EventKind::kWorkerStep);
+  e.run();
+  ASSERT_EQ(e.now(), 100);
+
+  struct CheckFailure {};
+  static bool tripped;
+  tripped = false;
+  const auto prev = support::set_check_handler(
+      [](const char*, const char*, int) { tripped = true; throw CheckFailure{}; });
+  EXPECT_THROW(e.schedule_after(std::numeric_limits<support::SimTime>::max(),
+                                sink, EventKind::kWorkerStep),
+               CheckFailure);
+  support::set_check_handler(prev);
+  EXPECT_TRUE(tripped);
+  EXPECT_EQ(e.pending(), 0u);  // the bad event was never enqueued
+
+  // A maximal-but-legal delay is still accepted.
+  e.schedule_after(std::numeric_limits<support::SimTime>::max() - e.now(),
+                   sink, EventKind::kWorkerStep);
+  EXPECT_EQ(e.pending(), 1u);
+}
 
 TEST(EngineTypedEvents, DispatchToTheScheduledSink) {
   Engine e;
@@ -189,52 +183,27 @@ TEST(EngineTypedEvents, DispatchToTheScheduledSink) {
   EXPECT_EQ(e.events_executed(), 2u);
 }
 
-TEST(EngineTypedEvents, InterleaveWithGenericEventsByStructuralKey) {
-  // Typed and generic events at the same (time, t_sched) order by the
-  // structural key (kind, rank, src) before falling back to schedule order —
-  // so the two kGeneric closures (kind 0) fire before the typed events, each
-  // group internally FIFO, and kWorkerStart (kind 2) precedes kWorkerStep
-  // (kind 3). The structural sort is the price of a shard-count-invariant
-  // event order (see sim/event.hpp); same-key events still fire in exactly
-  // the order they were scheduled.
-  class Relay final : public EventSink {
-   public:
-    explicit Relay(std::vector<std::uint32_t>& out) : out_(out) {}
-    void on_event(const Event& ev) override { out_.push_back(ev.payload); }
-
-   private:
-    std::vector<std::uint32_t>& out_;
-  };
-
-  Engine e;
-  std::vector<std::uint32_t> fired;
-  Relay relay(fired);
-  e.schedule_at(10, relay, EventKind::kWorkerStep, 0, 0);
-  e.schedule_at(10, [&fired] { fired.push_back(1); });
-  e.schedule_at(10, relay, EventKind::kWorkerStart, 0, 2);
-  e.schedule_at(10, [&fired] { fired.push_back(3); });
-  e.run();
-  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1, 3, 2, 0}));
-}
-
-TEST(EngineTypedEvents, ScheduleAfterOverflowIsRejected) {
-  // Same overflow guard as the closure path, via the typed overload.
+TEST(EngineTypedEvents, SameInstantEventsOrderByKindThenRank) {
+  // Events at the same (time, t_sched) order by the structural key
+  // (kind, rank, src) before falling back to schedule order: kinds fire in
+  // their EventKind declaration order, each (kind, rank) group internally
+  // FIFO. The structural sort is the price of a shard-count-invariant event
+  // order (see sim/event.hpp); same-key events still fire in exactly the
+  // order they were scheduled.
   Engine e;
   RecordingSink sink(e);
-  e.schedule_at(100, sink, EventKind::kWorkerStep, 0, 0);
-  e.step();
-
-  struct CheckFailure {};
-  static bool tripped;
-  tripped = false;
-  const auto prev = support::set_check_handler(
-      [](const char*, const char*, int) { tripped = true; throw CheckFailure{}; });
-  EXPECT_THROW(e.schedule_after(std::numeric_limits<support::SimTime>::max(),
-                                sink, EventKind::kWorkerStep, 0, 0),
-               CheckFailure);
-  support::set_check_handler(prev);
-  EXPECT_TRUE(tripped);
-  EXPECT_EQ(e.pending(), 0u);
+  e.schedule_at(10, sink, EventKind::kSvcArrival, 0, 0);
+  e.schedule_at(10, sink, EventKind::kWorkerStep, 1, 1);
+  e.schedule_at(10, sink, EventKind::kWorkerStep, 0, 2);
+  e.schedule_at(10, sink, EventKind::kNetworkDeliver, 0, 3);
+  e.schedule_at(10, sink, EventKind::kWorkerStart, 0, 4);
+  e.schedule_at(10, sink, EventKind::kWorkerStep, 0, 5);
+  e.schedule_at(10, sink, EventKind::kTokenTimeout, 0, 6);
+  e.schedule_at(10, sink, EventKind::kDeferredResponse, 0, 7);
+  e.schedule_at(10, sink, EventKind::kStealTimeout, 0, 8);
+  e.run();
+  EXPECT_EQ(sink.payloads(),
+            (std::vector<std::uint32_t>{3, 4, 2, 5, 1, 7, 8, 6, 0}));
 }
 
 TEST(Engine, TracksPendingHighWater) {
@@ -346,12 +315,12 @@ TEST(EngineInject, RunUntilExecutesExactlyTheWindow) {
 TEST(Engine, DeterministicAcrossRuns) {
   auto trace = [] {
     Engine e;
-    std::vector<std::pair<support::SimTime, int>> log;
-    for (int i = 0; i < 50; ++i) {
-      e.schedule_at(i % 7, [&log, &e, i] { log.emplace_back(e.now(), i); });
+    RecordingSink sink(e);
+    for (std::uint32_t i = 0; i < 50; ++i) {
+      e.schedule_at(i % 7, sink, EventKind::kWorkerStep, 0, i);
     }
     e.run();
-    return log;
+    return sink.hits;
   };
   EXPECT_EQ(trace(), trace());
 }

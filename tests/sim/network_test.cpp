@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -26,6 +27,29 @@ struct Delivery {
   support::SimTime at;
 };
 
+using TestNetwork = Network<TestMsg, std::function<void(topo::Rank, TestMsg)>>;
+
+/// Sends TestMsg{id} from `src` to `dst` when its event fires.
+class SendOnEvent final : public EventSink {
+ public:
+  SendOnEvent(TestNetwork& net, topo::Rank src, topo::Rank dst, int id)
+      : net_(net), src_(src), dst_(dst), id_(id) {}
+  void on_event(const Event&) override {
+    net_.send(src_, dst_, TestMsg{id_}, 0);
+  }
+
+ private:
+  TestNetwork& net_;
+  topo::Rank src_, dst_;
+  int id_;
+};
+
+/// Does nothing when its event fires: scheduling one moves the clock.
+class Tick final : public EventSink {
+ public:
+  void on_event(const Event&) override {}
+};
+
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest()
@@ -39,7 +63,7 @@ class NetworkTest : public ::testing::Test {
   topo::JobLayout layout_;
   topo::LatencyModel model_;
   Engine engine_;
-  Network<TestMsg> net_;
+  TestNetwork net_;
   std::vector<Delivery> log_;
 };
 
@@ -111,8 +135,7 @@ TEST(NetworkIntraNode, CountsSharedMemoryTraffic) {
   topo::LatencyModel model(layout);
   Engine engine;
   int delivered = 0;
-  Network<TestMsg> net(engine, model,
-                       [&](topo::Rank, TestMsg) { ++delivered; });
+  TestNetwork net(engine, model, [&](topo::Rank, TestMsg) { ++delivered; });
   net.send(0, 1, TestMsg{1}, 0);  // ranks 0,1 share node 0 under kGrouped
   net.send(0, 8, TestMsg{2}, 0);  // rank 8 is on node 1
   engine.run();
@@ -130,7 +153,7 @@ TEST(NetworkCongestion, BoundaryLoadInflatesLaterWindows) {
   congestion.enabled = true;
   congestion.capacity_hops = 10.0;
   congestion.window = 1000;
-  Network<TestMsg> net(
+  TestNetwork net(
       engine, model,
       [&](topo::Rank, TestMsg) { arrivals.push_back(engine.now()); },
       congestion);
@@ -141,7 +164,8 @@ TEST(NetworkCongestion, BoundaryLoadInflatesLaterWindows) {
   const auto raw1 = model.message_latency(0, 63, 0);
   ASSERT_GE(raw1, 1000);  // the flight is in the air as boundary 1 passes
   net.send(0, 63, TestMsg{1}, 0);
-  engine.schedule_at(2500, [&] { net.send(1, 62, TestMsg{2}, 0); });
+  SendOnEvent later(net, 1, 62, 2);
+  engine.schedule_at(2500, later, EventKind::kWorkerStep);
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], raw1);
@@ -165,7 +189,7 @@ TEST(NetworkCongestion, SameWindowSendsDoNotSeeEachOther) {
   congestion.enabled = true;
   congestion.capacity_hops = 10.0;
   congestion.window = 1000;
-  Network<TestMsg> net(
+  TestNetwork net(
       engine, model,
       [&](topo::Rank, TestMsg) { arrivals.push_back(engine.now()); },
       congestion);
@@ -190,7 +214,7 @@ TEST(NetworkCongestion, LoadExpiresWithTheFlight) {
   congestion.enabled = true;
   congestion.capacity_hops = 10.0;
   congestion.window = 1000;
-  Network<TestMsg> net(
+  TestNetwork net(
       engine, model,
       [&](topo::Rank, TestMsg) { arrivals.push_back(engine.now()); },
       congestion);
@@ -198,7 +222,8 @@ TEST(NetworkCongestion, LoadExpiresWithTheFlight) {
   ASSERT_LT(raw1, 4000);  // flight 1 loads no boundary at or past t=4000
   net.send(0, 63, TestMsg{1}, 0);
   // A send long after the flight landed reads an empty boundary: raw latency.
-  engine.schedule_at(5500, [&] { net.send(1, 62, TestMsg{2}, 0); });
+  SendOnEvent later(net, 1, 62, 2);
+  engine.schedule_at(5500, later, EventKind::kWorkerStep);
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1], 5500 + model.message_latency(1, 62, 0));
@@ -214,7 +239,7 @@ TEST(NetworkCongestion, SameNodeTrafficIsImmune) {
   congestion.enabled = true;
   congestion.capacity_hops = 1.0;  // tiny capacity: network badly congested
   congestion.window = 800;
-  Network<TestMsg> net(
+  TestNetwork net(
       engine, model,
       [&](topo::Rank, TestMsg) { arrivals.push_back(engine.now()); },
       congestion);
@@ -222,7 +247,8 @@ TEST(NetworkCongestion, SameNodeTrafficIsImmune) {
   net.send(0, 8, TestMsg{1}, 0);  // inter-node: loads boundary 1 (t=800)
   // An intra-node send in a window whose read boundary carries that load
   // still travels at the shared-memory latency.
-  engine.schedule_at(1700, [&] { net.send(0, 1, TestMsg{2}, 0); });
+  SendOnEvent later(net, 0, 1, 2);
+  engine.schedule_at(1700, later, EventKind::kWorkerStep);
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1], 1700 + model.params().same_node);
@@ -250,7 +276,7 @@ TEST(NetworkFaults, HugeMultiplierSaturatesInsteadOfWrapping) {
   fc.degraded_frac = 1.0;
   fc.degraded_mult = 1e18;
   fault::Injector injector(fc, 64);
-  Network<TestMsg> net(
+  TestNetwork net(
       engine, model,
       [&](topo::Rank, TestMsg) { arrivals.push_back(engine.now()); },
       CongestionParams{}, &injector);
@@ -309,7 +335,7 @@ TEST(NetworkDeterminism, SameSendsSameDeliveries) {
     topo::LatencyModel model(layout);
     Engine engine;
     std::vector<std::pair<topo::Rank, support::SimTime>> log;
-    Network<TestMsg> net(engine, model, [&](topo::Rank dst, TestMsg) {
+    TestNetwork net(engine, model, [&](topo::Rank dst, TestMsg) {
       log.emplace_back(dst, engine.now());
     });
     for (topo::Rank r = 0; r < 127; ++r) {
@@ -506,7 +532,7 @@ TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
 
   Engine engine;
   std::vector<std::tuple<support::SimTime, topo::Rank, int>> got;
-  Network<TestMsg> net(
+  TestNetwork net(
       engine, model,
       [&](topo::Rank dst, TestMsg m) { got.emplace_back(engine.now(), dst, m.id); },
       congestion, &faults);
@@ -524,9 +550,10 @@ TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
       fault::MsgClass::kDupOnly};
   support::SimTime now = 0;
   int id = 0;
+  Tick tick;
   for (int round = 0; round < 400; ++round) {
     // Land at `now`: every delivery due by then fires, none later.
-    engine.schedule_at(now, [] {});
+    engine.schedule_at(now, tick, EventKind::kWorkerStep);
     engine.run_until(now + 1);
     ASSERT_EQ(engine.now(), now);
     ref.retire_through(now);
@@ -576,7 +603,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, NetworkDifferential,
 
 /// Shard router stub: destinations at or above `first_remote` live on
 /// another shard; posted messages are recorded instead of delivered.
-class StubRouter final : public Network<TestMsg>::Router {
+class StubRouter final : public TestNetwork::Router {
  public:
   struct Post {
     topo::Rank dst;
@@ -662,8 +689,9 @@ TEST_F(NetworkTest, FlushRetiresExactlyTheChannelsThatHaveLanded) {
   ASSERT_LT(router.posts[2].arrival, last);
   EXPECT_EQ(net_.active_channels(), 3u);
 
+  Tick tick;
   const auto advance_to = [&](support::SimTime t) {
-    engine_.schedule_at(t, [] {});
+    engine_.schedule_at(t, tick, EventKind::kWorkerStep);
     engine_.run();
     net_.flush_retirements();
   };

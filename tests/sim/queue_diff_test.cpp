@@ -65,7 +65,7 @@ void run_differential(std::uint64_t seed, int ops, double push_bias,
     // calendar against that reduction. The event's identity travels in
     // payload, which the comparator ignores.
     const Event ev{now + delay_fn(rng), now, seq++, nullptr,
-                   EventKind::kGeneric, 0, 0,
+                   EventKind::kWorkerStep, 0, 0,
                    static_cast<std::uint32_t>(seq)};
     calendar.push(ev);
     reference.push(ev);
@@ -196,7 +196,7 @@ TEST(QueueDifferential, PeekTimeIsExactAndReadOnly) {
       }
       if (reference.size() == 0 || rng.next_double() < 0.5) {
         const Event ev{now + delay(rng), now, seq++, nullptr,
-                       EventKind::kGeneric, 0, 0, 0};
+                       EventKind::kWorkerStep, 0, 0, 0};
         calendar.push(ev);
         reference.push(ev);
       } else {
@@ -222,7 +222,7 @@ TEST(QueueDifferential, MaxTimeEventsDoNotOverflow) {
   for (const support::SimTime t :
        {support::SimTime{0}, kMax, support::SimTime{5}, kMax - 1, kMax,
         support::SimTime{5}}) {
-    const Event ev{t, 0, seq++, nullptr, EventKind::kGeneric, 0, 0, 0};
+    const Event ev{t, 0, seq++, nullptr, EventKind::kWorkerStep, 0, 0, 0};
     calendar.push(ev);
     reference.push(ev);
   }
@@ -241,7 +241,7 @@ TEST(CalendarQueue, TracksSizeAndHighWater) {
   EXPECT_EQ(q.max_size(), 0u);
   for (std::uint64_t i = 0; i < 100; ++i) {
     q.push(Event{static_cast<support::SimTime>(i * 7), 0, i, nullptr,
-                 EventKind::kGeneric, 0, 0, 0});
+                 EventKind::kWorkerStep, 0, 0, 0});
   }
   EXPECT_EQ(q.size(), 100u);
   EXPECT_EQ(q.max_size(), 100u);
