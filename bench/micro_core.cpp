@@ -6,8 +6,9 @@
 /// measures the event core itself — events/sec through the engine on a
 /// steal/poll/delivery-shaped workload, heap traffic per event (via the
 /// counting global allocator below), and the queue high-water mark — and
-/// writes the numbers as JSON (default BENCH_core.json). The committed
-/// BENCH_core.json holds the recorded baseline the CI perf-smoke job gates
+/// writes the numbers as JSON (default BENCH_core.json).
+/// bench/regenerate_bench_core.py folds them into the committed
+/// BENCH_core.json, whose "current" section the CI perf-smoke job gates
 /// against.
 #include <benchmark/benchmark.h>
 
@@ -27,6 +28,7 @@
 #include "crypto/uts_rng.hpp"
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "support/alias_table.hpp"
 #include "support/rejection_sampler.hpp"
@@ -302,6 +304,42 @@ void BM_FaultPlanSend(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FaultPlanSend);
+
+// The network-bookkeeping layer's per-message cost: Network::send (route,
+// congestion read, channel clamp, ledger fold, slab park, schedule) plus the
+// kNetworkDeliver dispatch, at 512 ranks placed 1/N with congestion on, as
+// on ref_1n_512. Each batch sends one message from every rank to the next
+// peer of its round-robin sequence and then delivers the batch.
+void BM_NetworkSendDeliver(benchmark::State& state) {
+  constexpr topo::Rank kRanks = 512;
+  static topo::TofuMachine machine;
+  static topo::JobLayout layout(machine, kRanks, topo::Placement::kOnePerNode);
+  static topo::LatencyModel latency(layout);
+  struct Drop {
+    void operator()(topo::Rank, std::uint64_t v) const {
+      benchmark::DoNotOptimize(v);
+    }
+  };
+  sim::CongestionParams congestion;
+  congestion.enabled = true;
+  congestion.capacity_hops = 6.0 * kRanks;
+  sim::Engine engine;
+  sim::Network<std::uint64_t, Drop> network(engine, latency, Drop{},
+                                            congestion);
+  topo::Rank offset = 1;
+  for (auto _ : state) {
+    for (topo::Rank src = 0; src < kRanks; ++src) {
+      network.send(src, (src + offset) % kRanks, src, 64);
+    }
+    engine.run();
+    offset = offset == kRanks - 1 ? 1 : offset + 1;
+  }
+  const auto messages = static_cast<double>(state.iterations()) * kRanks;
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+  state.counters["per_msg"] = benchmark::Counter(
+      messages, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NetworkSendDeliver);
 
 // ---------------------------------------------------------------------------
 // Core report: the event-core workload. A ring of actors mirrors the shape

@@ -24,9 +24,11 @@ struct NetworkStats {
   /// Peak per-window congestion load: max over window boundaries of the
   /// hop-units of flights crossing that boundary (see CongestionLedger).
   double max_load_hops = 0.0;
-  /// Peak number of (src, dst) channels with a delivery in flight. Channel
-  /// ordering state is retired as soon as its last delivery fires, so this
-  /// bounds the non-overtaking map instead of the all-pairs worst case.
+  /// Peak entry count of the channel-ordering overflow table: channels a
+  /// sender opened while its ChannelRows row was full of live ones (rank
+  /// 0's Terminate broadcast, hot victims). Entries leave only when the
+  /// table prunes its dead ones, so this bounds the peak of live spilled
+  /// channels from above.
   std::uint64_t peak_channels = 0;
 };
 
@@ -65,38 +67,92 @@ struct CongestionParams {
   support::SimTime window = 0;
 };
 
-/// The per-boundary congestion ledger: load[j] is the hop-units of flights
-/// crossing window boundary j·window. Serial runs fold into a private
-/// ledger as they send; sharded runs fold each shard's flights into one
-/// shared ledger at the barrier (deterministic ascending-shard order), and
-/// shards read it without locks — reads target boundaries at least one full
-/// window old, which the barrier has already sealed.
+/// The per-boundary congestion ledger: the load of boundary j (time
+/// j·window) is the hop-units of flights crossing it. A flight costs O(1)
+/// however many boundaries it spans: it adds +hops at its first boundary
+/// and −hops after its last, and boundaries are *sealed* into loads — a
+/// running prefix sum — once the clock has passed them, so no later flight
+/// can reach them. One vector holds the sealed loads below the cursor and
+/// the pending differences above it. Every partial sum is an integer held
+/// exactly in a double, so each load and the maximum are bit-identical to
+/// a per-boundary fold in any order.
+///
+/// Serial runs seal on read; sharded runs fold every shard's flights into
+/// one shared ledger at the barrier (ascending shard order) and then seal
+/// through the window's start, and shards read it without locks — reads
+/// target boundaries at least one full window old, which the barrier has
+/// already sealed.
 class CongestionLedger {
  public:
+  /// Most window boundaries one flight may load. A saturated (clamped)
+  /// latency spans ~4e18 ns; without a cap that single flight would reach
+  /// ~1e12 boundaries and the ledger would grow to match. 4096 windows ≈
+  /// 4 µs of sustained load at the default window — far past any real
+  /// flight's influence. The cap applies identically in serial and sharded
+  /// runs, preserving their identity.
+  static constexpr std::uint64_t kMaxEpochsPerFlight = 4096;
+
   explicit CongestionLedger(support::SimTime window) : window_(window) {
     DWS_CHECK(window_ > 0);
   }
 
   support::SimTime window() const noexcept { return window_; }
 
-  /// Adds `hops` to boundary j (time j·window_).
-  void add(std::uint64_t boundary, double hops) {
-    if (boundary >= load_.size()) load_.resize(boundary + 1, 0.0);
-    load_[boundary] += hops;
-    max_load_ = std::max(max_load_, load_[boundary]);
+  /// Folds one flight [send, arrival] carrying `hops` link-units: it loads
+  /// every boundary in (send, arrival], at most kMaxEpochsPerFlight of
+  /// them. The flight's boundaries must not be sealed yet, which holds for
+  /// any send at or after the clock the ledger was last sealed at.
+  void add_flight(support::SimTime send, support::SimTime arrival,
+                  double hops) {
+    const auto w = static_cast<std::uint64_t>(window_);
+    const std::uint64_t first = static_cast<std::uint64_t>(send) / w + 1;
+    std::uint64_t last = static_cast<std::uint64_t>(arrival) / w;
+    if (last < first) return;
+    last = std::min(last, first + kMaxEpochsPerFlight - 1);
+    DWS_DCHECK(first >= sealed_);
+    if (last + 1 >= cells_.size()) cells_.resize(last + 2, 0.0);
+    cells_[first] += hops;
+    cells_[last + 1] -= hops;
   }
 
-  /// Load folded at boundary j; 0 for boundaries no flight has reached.
+  /// Seals every boundary up to and including `boundary`. Sound once no
+  /// flight still to be added can start at or before it: every future send
+  /// is at or after time boundary·window.
+  void seal_through(std::uint64_t boundary) {
+    const std::uint64_t end =
+        std::min<std::uint64_t>(boundary + 1, cells_.size());
+    for (; sealed_ < end; ++sealed_) {
+      running_ += cells_[sealed_];
+      cells_[sealed_] = running_;
+      max_load_ = std::max(max_load_, running_);
+    }
+  }
+
+  /// Load of boundary j, which must be sealed; 0 past every flight.
   double boundary_load(std::uint64_t boundary) const noexcept {
-    return boundary < load_.size() ? load_[boundary] : 0.0;
+    DWS_DCHECK(boundary < sealed_ || sealed_ == cells_.size());
+    return boundary < sealed_ ? cells_[boundary] : 0.0;
   }
 
-  /// Max over boundaries of boundary_load — the run's max_load_hops.
-  double max_boundary_load() const noexcept { return max_load_; }
+  /// Max over boundaries of the load, sealed or not — the run's
+  /// max_load_hops once every flight is in.
+  double max_boundary_load() const noexcept {
+    double max_load = max_load_;
+    double running = running_;
+    for (std::size_t j = sealed_; j < cells_.size(); ++j) {
+      running += cells_[j];
+      max_load = std::max(max_load, running);
+    }
+    return max_load;
+  }
 
  private:
   support::SimTime window_;
-  std::vector<double> load_;
+  /// [0, sealed_): loads; [sealed_, size): differences.
+  std::vector<double> cells_;
+  std::uint64_t sealed_ = 0;
+  /// Load of boundary sealed_ − 1 (0 before the first).
+  double running_ = 0.0;
   double max_load_ = 0.0;
 };
 
@@ -108,56 +164,101 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
   return congestion.window > 0 ? congestion.window : latency.network_base;
 }
 
-/// Per-channel ordering state of a Network: for every (src, dst) channel
-/// with a delivery in flight, the channel's latest arrival time and its count
-/// of in-flight deliveries, held in one support::OpenTable. A send and a
-/// retirement each cost expected O(1) probes (a broadcast from one rank to
-/// every rank included), the last retirement frees the channel's slot by
-/// backward shift, and the storage grows only to the peak live channel
-/// count: steady-state churn allocates nothing.
-class ChannelTable {
-  struct State {
-    support::SimTime last_arrival = 0;
-    std::uint32_t in_flight = 0;
-  };
-  using Table = support::OpenTable<State>;
+/// Key of the channel from src to dst, as the fault injector and the
+/// overflow table name it. Ranks are 32-bit and src != dst, so no key
+/// equals support::OpenTable's kNoKey.
+inline std::uint64_t channel_key(topo::Rank src, topo::Rank dst) noexcept {
+  return (static_cast<std::uint64_t>(src) << 32) | dst;
+}
 
+/// Per-channel ordering state of a Network: for each (src, dst) channel,
+/// the latest arrival time of its deliveries, kept only while that arrival
+/// is still ahead of the sender's clock.
+///
+/// Time rule: a channel's entry is dead once its last arrival is at or
+/// before the sender's `now`. Any later send arrives at now + latency ≥
+/// that arrival (latency ≥ 0), so the non-overtaking clamp would do
+/// nothing; a dead entry is simply overwritten, and delivery does no
+/// channel work at all.
+///
+/// Storage: one 64-byte row per sending rank, sized once, holding kWays
+/// (dst, last arrival) entries and `overflow_until`. A send looks for a
+/// live entry for dst in its row; failing that, if the row has spilled
+/// channels still in flight (overflow_until > now), in the shared overflow
+/// support::OpenTable; failing that, it takes a dead slot of its row, or
+/// spills when every slot is live. A live channel sits in exactly one of
+/// the two places. The overflow table drops its dead entries instead of
+/// growing, so rank 0's Terminate broadcast — every rank but four spilled —
+/// costs O(1) per send and steady-state churn allocates nothing.
+///
+/// Why rows and not the overflow table alone: random-victim traffic opens
+/// a new channel on almost every send, so one table holding every channel
+/// fills with dead entries, probes past them and rebuilds often; on the
+/// 512-rank reference run it was slower than the per-delivery erase that
+/// rows replaced (EXPERIMENTS.md, "O(1) network bookkeeping").
+class ChannelRows {
  public:
-  /// Key of the channel from src to dst. Ranks are 32-bit and src != dst,
-  /// so no live key equals kNoKey.
-  static std::uint64_t key(topo::Rank src, topo::Rank dst) noexcept {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
-  static constexpr std::uint64_t kNoKey = Table::kNoKey;
+  static constexpr int kWays = 4;
 
-  /// Opens one more in-flight delivery on channel `key` with raw arrival
-  /// time `arrival`, and returns it clamped to the channel's previous
-  /// arrival (MPI non-overtaking), which it then becomes. A channel with
-  /// no delivery in flight has no previous arrival to clamp to.
-  support::SimTime admit(std::uint64_t key, support::SimTime arrival) {
-    State& ch = table_[key];
-    if (ch.in_flight != 0 && arrival < ch.last_arrival) {
-      arrival = ch.last_arrival;
+  explicit ChannelRows(topo::Rank num_ranks) : rows_(num_ranks) {}
+
+  /// Clamps `arrival`, the raw arrival of a send from src to dst at `now`,
+  /// to the channel's live last arrival (MPI non-overtaking), records the
+  /// result as the channel's last arrival and returns it.
+  support::SimTime admit(topo::Rank src, topo::Rank dst, support::SimTime now,
+                         support::SimTime arrival) {
+    DWS_DCHECK(src < rows_.size());
+    Row& row = rows_[src];
+    int dead = -1;
+    for (int i = 0; i < kWays; ++i) {
+      if (row.last[i] <= now) {
+        if (dead < 0) dead = i;
+      } else if (row.dst[i] == dst) {
+        arrival = std::max(arrival, row.last[i]);
+        row.last[i] = arrival;
+        return arrival;
+      }
     }
-    ch.last_arrival = arrival;
-    ++ch.in_flight;
+    const std::uint64_t key = channel_key(src, dst);
+    if (row.overflow_until > now) {
+      Overflow::Slot* slot = overflow_.find(key);
+      if (slot != nullptr && slot->value > now) {
+        arrival = std::max(arrival, slot->value);
+        slot->value = arrival;
+        row.overflow_until = std::max(row.overflow_until, arrival);
+        return arrival;
+      }
+    }
+    if (dead >= 0) {
+      row.dst[dead] = dst;
+      row.last[dead] = arrival;
+      return arrival;
+    }
+    if (overflow_.full()) {
+      overflow_.retain([now](support::SimTime last) { return last > now; });
+    }
+    overflow_[key] = arrival;
+    row.overflow_until = std::max(row.overflow_until, arrival);
+    peak_overflow_ = std::max<std::uint64_t>(peak_overflow_, overflow_.size());
     return arrival;
   }
 
-  /// Closes one in-flight delivery on channel `key`; the last one frees
-  /// the channel's slot.
-  void retire(std::uint64_t key) {
-    Table::Slot* slot = table_.find(key);
-    DWS_CHECK(slot != nullptr);  // retiring an unknown channel
-    DWS_DCHECK(slot->value.in_flight > 0);
-    if (--slot->value.in_flight == 0) table_.erase(*slot);
-  }
-
-  /// Channels with at least one delivery in flight.
-  std::size_t size() const noexcept { return table_.size(); }
+  /// Peak entry count of the overflow table (NetworkStats::peak_channels).
+  std::uint64_t peak_overflow() const noexcept { return peak_overflow_; }
 
  private:
-  Table table_;
+  struct alignas(64) Row {
+    topo::Rank dst[kWays] = {};
+    support::SimTime last[kWays] = {};
+    /// Latest arrival of the row's spilled channels.
+    support::SimTime overflow_until = 0;
+  };
+  static_assert(sizeof(Row) == 64);
+  using Overflow = support::OpenTable<support::SimTime>;
+
+  std::vector<Row> rows_;
+  Overflow overflow_;
+  std::uint64_t peak_overflow_ = 0;
 };
 
 /// Point-to-point message transport between simulated ranks.
@@ -178,15 +279,11 @@ class ChannelTable {
 /// is a concrete functor, `void(topo::Rank dst, Message)`, so delivery is a
 /// direct call.
 ///
-/// Channel lifecycle: the non-overtaking clamp needs a channel's previous
-/// arrival time only while a delivery is still in flight — once the last one
-/// fires, any later send on that channel arrives at now + latency >= every
-/// past arrival, so the channel's slot in the ChannelTable is freed. A send
-/// admits one delivery (clamp and count) and its kNetworkDeliver event
-/// retires it; both are expected O(1) and allocation-free once the table has
-/// grown to the run's peak. NetworkStats::peak_channels records that peak of
-/// live channels. Each send resolves its latency, hops and same-node flag
-/// with one LatencyModel::route call, shared by a duplicated copy.
+/// Channel ordering state lives in ChannelRows, keyed by time: a send
+/// clamps against its channel's last arrival only while that arrival is
+/// still ahead of the clock, so delivery does no channel work. Each send
+/// resolves its latency, hops and same-node flag with one
+/// LatencyModel::route call, shared by a duplicated copy.
 ///
 /// Fault injection (DESIGN.md §10): with a fault::Injector attached, each
 /// send first asks the injector for a plan. A dropped message is still
@@ -195,28 +292,24 @@ class ChannelTable {
 /// delivered twice — the copy gets its own jitter draw but both obey the
 /// channel clamp — and counted twice. The copy is a byte copy: a duplicated
 /// work-carrying response shares its payload handle with the original, and
-/// only the copy the thief accepts takes the payload (proto::ChunkBatch). Latency multipliers (jitter, degraded
-/// links) scale the full congested latency of each delivery.
+/// only the copy the thief accepts takes the payload (proto::ChunkBatch).
+/// Latency multipliers (jitter, degraded links) scale the full congested
+/// latency of each delivery.
 ///
 /// Sharded runs (DESIGN.md §12): each shard owns one Network over the same
 /// global latency model. A Router attached with set_router diverts sends to
 /// ranks outside the shard: the channel clamp still runs here (the sender's
-/// shard owns all (src, dst) ordering state — a destination rank lives in
-/// exactly one shard, so a channel is either always-local or always-remote),
-/// but instead of a local delivery event the message is posted to a shard
-/// mailbox together with its arrival time and the sender's clock. The
-/// destination shard re-materializes it with accept_remote. Because no local
-/// delivery fires for a remote send, its channel retirement is lazy: the
-/// (arrival, channel) pair waits in a min-heap until flush_retirements sees
-/// the local clock pass the arrival — at which point any future send on the
-/// channel arrives later anyway, so dropping the clamp state cannot reorder
-/// deliveries.
+/// shard owns all (src, dst) ordering state, and the time rule needs only
+/// the sender's clock), but instead of a local delivery event the message
+/// is posted to a shard mailbox together with its arrival time and the
+/// sender's clock. The destination shard re-materializes it with
+/// accept_remote.
 ///
 /// Congestion under sharding: each shard's Network reads boundary loads from
 /// one *shared* CongestionLedger (set_shared_ledger) and defers its own
-/// flights' contributions to pending_loads; the run loop drains every
-/// shard's pending loads into the ledger inside the barrier, in ascending
-/// shard order, before computing the next window. A send at time t reads
+/// flights to pending_flights_; the run loop drains every shard's pending
+/// flights into the ledger inside the barrier, in ascending shard order, and
+/// then seals it through the next window's start. A send at time t reads
 /// only boundaries at or before t - window <= t - lookahead, all sealed by
 /// past barriers, so the loads it sees — and hence every latency — are
 /// identical to the serial run's.
@@ -246,7 +339,8 @@ class Network final : public EventSink {
         latency_(&latency),
         deliver_(std::move(deliver)),
         congestion_(congestion),
-        faults_(faults) {
+        faults_(faults),
+        channels_(latency.layout().num_ranks()) {
     DWS_CHECK(!congestion_.enabled || congestion_.capacity_hops > 0.0);
     if (congestion_.enabled) {
       window_ = congestion_window(congestion_, latency_->params());
@@ -259,24 +353,23 @@ class Network final : public EventSink {
 
   /// Sharded-run congestion wiring: read boundary loads from `ledger`
   /// (owned by the run loop, shared by all shards) and defer this shard's
-  /// own contributions until drain_pending_loads. Must happen before any
-  /// send; the ledger must outlive the network.
+  /// own flights until drain_pending_flights. Must happen before any send;
+  /// the ledger must outlive the network.
   void set_shared_ledger(const CongestionLedger* ledger) {
     DWS_CHECK(congestion_.enabled);
     DWS_CHECK(ledger != nullptr && ledger->window() == window_);
     own_ledger_.reset();
     read_ledger_ = ledger;
-    deferred_loads_ = true;
   }
 
-  /// Folds this shard's pending flight contributions into the shared
-  /// ledger. Called inside the window barrier in ascending shard order, so
-  /// the fold sequence — and every double sum — is deterministic.
-  void drain_pending_loads(CongestionLedger& ledger) {
-    for (const auto& [boundary, hops] : pending_loads_) {
-      ledger.add(boundary, hops);
+  /// Folds this shard's pending flights into the shared ledger. Called
+  /// inside the window barrier in ascending shard order, before the ledger
+  /// is sealed for the next window.
+  void drain_pending_flights(CongestionLedger& ledger) {
+    for (const PendingFlight& f : pending_flights_) {
+      ledger.add_flight(f.send, f.arrival, f.hops);
     }
-    pending_loads_.clear();
+    pending_flights_.clear();
   }
 
   /// Send `msg` of `bytes` payload bytes from `src` to `dst` (src != dst).
@@ -288,7 +381,7 @@ class Network final : public EventSink {
     const topo::Route route = latency_->route(src, dst, bytes, engine_->now());
     if (faults_ != nullptr && faults_->enabled()) {
       const fault::SendPlan plan =
-          faults_->plan_send(ChannelTable::key(src, dst), cls, bytes);
+          faults_->plan_send(channel_key(src, dst), cls, bytes);
       if (plan.drop) {
         // The send still happened from the sender's point of view: count it
         // so send-side ledgers (audit) and NetworkStats agree, but schedule
@@ -305,16 +398,11 @@ class Network final : public EventSink {
     enqueue(src, dst, std::move(msg), bytes, route, 1.0);
   }
 
-  /// kNetworkDeliver dispatch: unparks the message, retires the channel if
-  /// this was its last in-flight delivery, and hands the message to the
-  /// receiver. Flights accepted from another shard carry the sentinel
-  /// channel — their ordering state lives (and retires) on the sending
-  /// shard. Congestion needs no work here: a flight's boundary
-  /// contributions were recorded at send time.
+  /// kNetworkDeliver dispatch: unparks the message and hands it to the
+  /// receiver. Neither the channel state nor the congestion ledger needs
+  /// work here: both were settled at send time.
   void on_event(const Event& ev) override {
-    InFlight flight = in_flight_.take(ev.payload);
-    if (flight.channel != kRemoteChannel) channels_.retire(flight.channel);
-    deliver_(static_cast<topo::Rank>(ev.rank), std::move(flight.msg));
+    deliver_(static_cast<topo::Rank>(ev.rank), in_flight_.take(ev.payload));
   }
 
   /// Attach (or detach, with nullptr) the shard router. Must happen before
@@ -324,59 +412,33 @@ class Network final : public EventSink {
   /// Destination side of a cross-shard send: parks `msg` and schedules its
   /// delivery through Engine::inject with the *sender's* ordering key
   /// (t_sched, src) so the merged event order matches an unsharded run. The
-  /// channel clamp already ran on the sending shard, so the flight gets the
-  /// sentinel channel and skips retirement here. Exactly one kNetworkDeliver
-  /// fires per message in sharded and unsharded runs alike, keeping engine
-  /// event counts shard-invariant.
+  /// channel clamp already ran on the sending shard. Exactly one
+  /// kNetworkDeliver fires per message in sharded and unsharded runs alike,
+  /// keeping engine event counts shard-invariant.
   void accept_remote(support::SimTime arrival, support::SimTime t_sched,
                      std::uint32_t origin, topo::Rank src, topo::Rank dst,
                      Message msg) {
-    const std::uint32_t handle =
-        in_flight_.acquire(InFlight{std::move(msg), kRemoteChannel});
+    const std::uint32_t handle = in_flight_.acquire(std::move(msg));
     engine_->inject(arrival, t_sched, origin, src, *this,
                     EventKind::kNetworkDeliver, dst, handle);
   }
 
-  /// Retire channels whose cross-shard deliveries the local clock has
-  /// passed. Called by the sharded run loop at window boundaries. Holding an
-  /// entry longer is always safe — once now >= arrival, clamping a future
-  /// send against that arrival is a no-op — so laziness affects only the
-  /// channel table's size, never an arrival time.
-  void flush_retirements() {
-    while (!retire_heap_.empty() &&
-           retire_heap_.front().first <= engine_->now()) {
-      std::pop_heap(retire_heap_.begin(), retire_heap_.end(), RetireLater{});
-      channels_.retire(retire_heap_.back().second);
-      retire_heap_.pop_back();
-    }
+  /// Traffic counters; max_load_hops is this network's own ledger peak
+  /// (0 for a shard reading a shared ledger, whose peak the run loop
+  /// reports).
+  NetworkStats stats() const noexcept {
+    NetworkStats out = stats_;
+    if (own_ledger_) out.max_load_hops = own_ledger_->max_boundary_load();
+    out.peak_channels = channels_.peak_overflow();
+    return out;
   }
 
-  const NetworkStats& stats() const noexcept { return stats_; }
-  /// Channels with at least one delivery currently in flight.
-  std::size_t active_channels() const noexcept { return channels_.size(); }
-
  private:
-  struct InFlight {
-    Message msg;
-    std::uint64_t channel = 0;
-  };
-
-  /// Channel key of a flight accepted from another shard: never live.
-  static constexpr std::uint64_t kRemoteChannel = ChannelTable::kNoKey;
-
-  /// Most window boundaries one flight may load. A saturated (clamped)
-  /// latency spans ~4e18 ns; without a cap that single flight would fold
-  /// into ~1e12 boundaries. 4096 windows ≈ 4 µs of sustained load at the
-  /// default window — far past any real flight's influence.
-  static constexpr std::uint64_t kMaxEpochsPerFlight = 4096;
-
-  /// Min-heap order by arrival time for the lazy retirement heap.
-  struct RetireLater {
-    bool operator()(const std::pair<support::SimTime, std::uint64_t>& a,
-                    const std::pair<support::SimTime, std::uint64_t>& b)
-        const noexcept {
-      return a.first > b.first;
-    }
+  /// A sharded run's flight, held until the barrier folds it.
+  struct PendingFlight {
+    support::SimTime send;
+    support::SimTime arrival;
+    double hops;
   };
 
   /// Converts a scaled latency from the double domain back to SimTime,
@@ -391,34 +453,12 @@ class Network final : public EventSink {
     return static_cast<support::SimTime>(scaled);
   }
 
-  /// Folds one inter-node flight [send, arrival] into the congestion
-  /// ledger: `hops` units at every boundary j·window in (send, arrival],
-  /// capped at kMaxEpochsPerFlight boundaries so a saturated latency cannot
-  /// make a single flight unboundedly expensive (the cap applies identically
-  /// in serial and sharded runs, preserving their identity).
-  void record_flight(support::SimTime send, support::SimTime arrival,
-                     double hops) {
-    const auto w = static_cast<std::uint64_t>(window_);
-    const std::uint64_t first = static_cast<std::uint64_t>(send) / w + 1;
-    std::uint64_t last = static_cast<std::uint64_t>(arrival) / w;
-    if (last >= first + kMaxEpochsPerFlight) {
-      last = first + kMaxEpochsPerFlight - 1;
-    }
-    if (deferred_loads_) {
-      for (std::uint64_t j = first; j <= last; ++j) {
-        pending_loads_.emplace_back(j, hops);
-      }
-      return;
-    }
-    for (std::uint64_t j = first; j <= last; ++j) own_ledger_->add(j, hops);
-    stats_.max_load_hops = own_ledger_->max_boundary_load();
-  }
-
   /// One actual delivery: congested latency, fault latency multiplier,
   /// channel clamp, stats, and the kNetworkDeliver event.
   void enqueue(topo::Rank src, topo::Rank dst, Message msg,
                std::uint32_t bytes, const topo::Route& route,
                double latency_mult) {
+    const support::SimTime now = engine_->now();
     support::SimTime latency = route.latency;
     const bool congested = congestion_.enabled && !route.same_node;
     if (congested || latency_mult != 1.0) {
@@ -426,11 +466,16 @@ class Network final : public EventSink {
       if (congested) {
         // The send reads the load folded at its own window's opening
         // boundary — flights in the air as the window began. Window 0 has
-        // no prior boundary and runs at raw latency.
-        const auto epoch = static_cast<std::uint64_t>(engine_->now()) /
+        // no prior boundary and runs at raw latency. Every flight that can
+        // load that boundary was sent before the window opened, so an
+        // owned ledger may seal it here.
+        const auto epoch = static_cast<std::uint64_t>(now) /
                            static_cast<std::uint64_t>(window_);
-        const double load =
-            epoch == 0 ? 0.0 : read_ledger_->boundary_load(epoch - 1);
+        double load = 0.0;
+        if (epoch != 0) {
+          if (own_ledger_) own_ledger_->seal_through(epoch - 1);
+          load = read_ledger_->boundary_load(epoch - 1);
+        }
         scaled *= 1.0 + load / congestion_.capacity_hops;
       }
       scaled *= latency_mult;
@@ -440,39 +485,37 @@ class Network final : public EventSink {
     // guards its delay: a negative or overflowing latency would wrap the
     // virtual clock — signed overflow is UB and the schedule corrupts
     // silently. scale_to_sim_time saturates at max/2, so the only way to
-    // trip this is a clock already past max/2.
+    // trip this is a clock already past max/2. latency >= 0 is also what
+    // makes ChannelRows' time rule sound.
     DWS_CHECK(latency >= 0);
-    DWS_CHECK(latency <=
-              std::numeric_limits<support::SimTime>::max() - engine_->now());
+    DWS_CHECK(latency <= std::numeric_limits<support::SimTime>::max() - now);
 
     // MPI non-overtaking: a later send on the same channel may not arrive
     // before an earlier one (possible here when a small message chases a
-    // large one). The table clamps to the channel's previous arrival time.
-    const std::uint64_t key = ChannelTable::key(src, dst);
+    // large one).
     const support::SimTime arrival =
-        channels_.admit(key, engine_->now() + latency);
-    stats_.peak_channels = std::max(
-        stats_.peak_channels, static_cast<std::uint64_t>(channels_.size()));
+        channels_.admit(src, dst, now, now + latency);
 
     count_message(route, bytes);
     if (congested) {
       // Record against the clamped arrival: the flight occupies links until
       // it actually lands.
-      record_flight(engine_->now(), arrival, static_cast<double>(route.hops));
+      const auto hops = static_cast<double>(route.hops);
+      if (own_ledger_) {
+        own_ledger_->add_flight(now, arrival, hops);
+      } else {
+        pending_flights_.push_back({now, arrival, hops});
+      }
     }
 
     if (router_ != nullptr && router_->is_remote(dst)) {
-      // Cross-shard send: the clamp above ran on the owning (source) side;
-      // no local delivery event will fire, so queue the lazy retirement and
-      // hand the message to the mailbox fabric with the sender's clock.
-      retire_heap_.emplace_back(arrival, key);
-      std::push_heap(retire_heap_.begin(), retire_heap_.end(), RetireLater{});
-      router_->post(dst, arrival, engine_->now(), src, std::move(msg));
+      // Cross-shard send: hand the message to the mailbox fabric with the
+      // sender's clock.
+      router_->post(dst, arrival, now, src, std::move(msg));
       return;
     }
 
-    const std::uint32_t handle =
-        in_flight_.acquire(InFlight{std::move(msg), key});
+    const std::uint32_t handle = in_flight_.acquire(std::move(msg));
     engine_->schedule_at(arrival, *this, EventKind::kNetworkDeliver, dst,
                          handle, src);
   }
@@ -492,16 +535,13 @@ class Network final : public EventSink {
   /// Resolved congestion window (congestion_window()); 0 when disabled.
   support::SimTime window_ = 0;
   /// Immediate mode owns its ledger; sharded mode reads the shared one and
-  /// parks contributions in pending_loads_ until the barrier drains them.
+  /// parks its flights in pending_flights_ until the barrier drains them.
   std::unique_ptr<CongestionLedger> own_ledger_;
   const CongestionLedger* read_ledger_ = nullptr;
-  bool deferred_loads_ = false;
-  std::vector<std::pair<std::uint64_t, double>> pending_loads_;
+  std::vector<PendingFlight> pending_flights_;
   NetworkStats stats_;
-  ChannelTable channels_;
-  // (arrival, channel) of remote sends awaiting lazy retirement.
-  std::vector<std::pair<support::SimTime, std::uint64_t>> retire_heap_;
-  SlabPool<InFlight> in_flight_;
+  ChannelRows channels_;
+  SlabPool<Message> in_flight_;
 };
 
 }  // namespace dws::sim

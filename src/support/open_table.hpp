@@ -3,17 +3,18 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dws::support {
 
 /// Open-addressed hash table from 64-bit keys to `Value`: one flat slot
 /// array, Fibonacci hashing, linear probing, load factor at or below one
-/// half. Removal (erase) shifts the rest of the probe run back instead of
-/// leaving tombstones, so a table that churns keys never degrades. Storage
-/// only grows, to the peak live entry count: steady-state churn allocates
-/// nothing. Used for the simulator's per-channel state, keyed by
-/// `(src << 32) | dst`: the network's ordering state (sim::ChannelTable)
+/// half. Entries are never removed one by one; retain() rebuilds the table
+/// without the entries a predicate rejects, so a table whose keys go stale
+/// can drop them instead of growing. Storage only grows: steady-state churn
+/// allocates nothing. Used for the simulator's per-channel state, keyed by
+/// `(src << 32) | dst`: the network's overflow channels (sim::ChannelRows)
 /// and the fault injector's per-channel draw counters (fault::Injector).
 ///
 /// kNoKey marks an empty slot and must never be inserted. Every empty slot
@@ -53,21 +54,27 @@ class OpenTable {
     return nullptr;
   }
 
-  /// Removes the entry in `slot`, a live slot of this table.
-  void erase(Slot& slot) noexcept {
-    std::size_t hole = static_cast<std::size_t>(&slot - slots_.data());
-    // Backward shift: walk the rest of the probe run and move each entry
-    // whose home slot lies cyclically at or before the hole into it, so
-    // every remaining key stays reachable from its home without tombstones.
-    for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kNoKey;
-         j = (j + 1) & mask_) {
-      if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
+  /// True when inserting one more key would grow the table.
+  bool full() const noexcept { return 2 * (size_ + 1) > slots_.size(); }
+
+  /// Drops every entry whose value `keep` rejects and rehashes the rest.
+  /// The slot count doubles when more than a quarter of it stays in use, so
+  /// the next rebuild is at least a quarter of the slots of insertions
+  /// away: amortised O(1) per insertion. A rebuild at the same size reuses
+  /// a spare slot array, so it allocates nothing once that array exists.
+  template <typename Keep>
+  void retain(Keep keep) {
+    std::size_t kept = 0;
+    for (const Slot& slot : slots_) {
+      kept += slot.key != kNoKey && keep(std::as_const(slot.value));
     }
-    slots_[hole] = Slot{};
-    --size_;
+    if (slots_.empty() || 4 * kept > slots_.size()) {
+      grow(keep);
+      return;
+    }
+    spare_.assign(slots_.size(), Slot{});
+    spare_.swap(slots_);
+    reinsert(spare_, keep);
   }
 
   /// Live entries.
@@ -113,22 +120,36 @@ class OpenTable {
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
-  /// Doubles the slot count (64 at first use), keeping the load factor at
-  /// or below one half.
-  void grow() {
+  /// Doubles the slot count (64 at first use), keeping the entries `keep`
+  /// accepts; the load factor stays at or below one half.
+  template <typename Keep>
+  void grow(Keep keep) {
     std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
     old.swap(slots_);
+    reinsert(old, keep);
+  }
+  void grow() {
+    grow([](const Value&) { return true; });
+  }
+
+  /// Fills the empty slots_ with the entries of `from` that `keep` accepts.
+  template <typename Keep>
+  void reinsert(const std::vector<Slot>& from, Keep keep) {
     mask_ = slots_.size() - 1;
     shift_ = 64 - std::countr_zero(slots_.size());
-    for (const Slot& slot : old) {
-      if (slot.key == kNoKey) continue;
+    size_ = 0;
+    for (const Slot& slot : from) {
+      if (slot.key == kNoKey || !keep(std::as_const(slot.value))) continue;
       std::size_t i = home(slot.key);
       while (slots_[i].key != kNoKey) i = (i + 1) & mask_;
       slots_[i] = slot;
+      ++size_;
     }
   }
 
   std::vector<Slot> slots_;
+  /// The slot array before the last same-size retain, reused by the next.
+  std::vector<Slot> spare_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 64;

@@ -143,8 +143,7 @@ namespace detail {
 ///   3. publishes its next event time and arrives at the sync barrier,
 ///      whose completion computes the window end
 ///      w_end = min(next times) + lookahead (or declares the run done);
-///   4. executes every local event with time < w_end and flushes lazily
-///      retired channels;
+///   4. executes every local event with time < w_end;
 ///   5. arrives at the exec barrier, which makes this window's mailbox
 ///      writes visible to the next drain.
 ///
@@ -178,13 +177,21 @@ void run_windows(std::vector<std::unique_ptr<Shard<Binding>>>& shards,
     // deterministic sequence — and before the done check, so the final
     // window's flights still reach max_boundary_load.
     if (ledger != nullptr) {
-      for (const auto& s : shards) s->network->drain_pending_loads(*ledger);
+      for (const auto& s : shards) s->network->drain_pending_flights(*ledger);
     }
     support::SimTime t_min = kInf;
     for (const auto& s : shards) t_min = std::min(t_min, s->next_time);
     if (t_min == kInf || failed.load(std::memory_order_acquire)) {
       done = true;
       return;
+    }
+    // No event, hence no send, is earlier than t_min: every flight that
+    // can load a boundary at or before t_min / window is in the ledger, and
+    // those are the only boundaries the coming window reads (its sends are
+    // before t_min + lookahead <= t_min + window).
+    if (ledger != nullptr) {
+      ledger->seal_through(static_cast<std::uint64_t>(t_min) /
+                           static_cast<std::uint64_t>(ledger->window()));
     }
     w_end = t_min > kInf - lookahead ? kInf : t_min + lookahead;
   });
@@ -223,7 +230,6 @@ void run_windows(std::vector<std::unique_ptr<Shard<Binding>>>& shards,
       if (done) break;
       try {
         sh.engine.run_until(w_end);
-        sh.network->flush_retirements();
       } catch (...) {
         record_error();
       }

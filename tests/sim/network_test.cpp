@@ -289,43 +289,25 @@ TEST(NetworkFaults, HugeMultiplierSaturatesInsteadOfWrapping) {
   EXPECT_GT(arrivals[0], 0);
 }
 
-TEST_F(NetworkTest, RetiresChannelsWhenTheLastDeliveryFires) {
-  // Two messages on one channel, one on another: the channel table holds the
-  // ordering state only while a delivery is in flight.
-  net_.send(0, 5, TestMsg{1}, 16);
-  net_.send(0, 5, TestMsg{2}, 16);
-  net_.send(3, 7, TestMsg{3}, 16);
-  EXPECT_EQ(net_.active_channels(), 2u);
-  engine_.run();
-  EXPECT_EQ(log_.size(), 3u);
-  EXPECT_EQ(net_.active_channels(), 0u);  // all in-flight drained
-  EXPECT_EQ(net_.stats().peak_channels, 2u);
-
-  // Reusing a retired channel reopens it and the non-overtaking clamp starts
-  // fresh: delivery is at plain now + latency.
-  const auto before = engine_.now();
-  net_.send(0, 5, TestMsg{4}, 16);
-  EXPECT_EQ(net_.active_channels(), 1u);
-  engine_.run();
-  EXPECT_EQ(log_.back().at, before + model_.message_latency(0, 5, 16));
-  EXPECT_EQ(net_.active_channels(), 0u);
-  EXPECT_EQ(net_.stats().peak_channels, 2u);  // high-water, not current
-}
-
-TEST_F(NetworkTest, PeakChannelsTracksDistinctPairsNotMessages) {
-  // Many messages over the same pair count once; the peak is bounded by the
-  // number of concurrently in-flight (src, dst) pairs, which is what keeps
-  // the channel table small on long runs.
+TEST_F(NetworkTest, PeakChannelsCountsChannelsSpilledPastTheRow) {
+  // A sender keeps up to four live channels in its row, and repeat sends on
+  // a channel reuse its entry: nothing spills yet.
   for (int i = 0; i < 10; ++i) net_.send(1, 2, TestMsg{i}, 8);
-  EXPECT_EQ(net_.active_channels(), 1u);
+  for (topo::Rank dst = 3; dst < 6; ++dst) net_.send(1, dst, TestMsg{0}, 8);
+  EXPECT_EQ(net_.stats().peak_channels, 0u);
+  net_.send(1, 6, TestMsg{0}, 8);  // a fifth live channel
   EXPECT_EQ(net_.stats().peak_channels, 1u);
-  for (topo::Rank src = 10; src < 14; ++src) {
-    net_.send(src, 20, TestMsg{0}, 8);
-  }
-  EXPECT_EQ(net_.stats().peak_channels, 5u);
+  // Rank 0's broadcast: four channels fit its row, 59 spill.
+  for (topo::Rank dst = 1; dst < 64; ++dst) net_.send(0, dst, TestMsg{0}, 8);
+  EXPECT_EQ(net_.stats().peak_channels, 60u);
   engine_.run();
-  EXPECT_EQ(net_.active_channels(), 0u);
-  EXPECT_EQ(net_.stats().messages, 14u);
+  EXPECT_EQ(net_.stats().messages, 77u);
+  // Everything has landed: a second broadcast overwrites the dead entries
+  // instead of adding to them.
+  for (topo::Rank dst = 1; dst < 64; ++dst) net_.send(0, dst, TestMsg{0}, 8);
+  EXPECT_EQ(net_.stats().peak_channels, 60u);
+  engine_.run();
+  EXPECT_EQ(log_.size(), 140u);
 }
 
 TEST(NetworkDeterminism, SameSendsSameDeliveries) {
@@ -347,56 +329,192 @@ TEST(NetworkDeterminism, SameSendsSameDeliveries) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(ChannelTable, RandomChurnMatchesAMap) {
-  // Random full-width ranks give random home slots, so probe runs collide
-  // and backward-shift deletion has entries to move. The table must agree
-  // with a std::map on every clamp and on its size at every step, while it
-  // grows to thousands of live channels and drains again.
-  ChannelTable table;
-  std::map<std::uint64_t, std::pair<support::SimTime, std::uint32_t>> ref;
-  std::vector<std::uint64_t> live;
+TEST(ChannelRows, RandomSendsMatchAnInFlightMap) {
+  // Hot senders with more live channels than a row holds, a broadcast, and
+  // a clock that jumps past every arrival now and then: each admit must
+  // return the clamp of a std::map that keeps a channel's last arrival for
+  // as long as the arrival is ahead of the sender's clock.
+  constexpr topo::Rank kRanks = 64;
+  ChannelRows rows(kRanks);
+  std::map<std::pair<topo::Rank, topo::Rank>, support::SimTime> last;
   support::Xoshiro256StarStar rng(7);
-  const auto retire_one = [&](std::size_t i) {
-    const std::uint64_t key = live[i];
-    table.retire(key);
-    if (--ref[key].second == 0) {
-      ref.erase(key);
-      live[i] = live.back();
-      live.pop_back();
+  support::SimTime now = 0;
+  std::uint64_t clamps = 0;
+  const auto admit = [&](topo::Rank src, topo::Rank dst,
+                         support::SimTime latency) {
+    support::SimTime want = now + latency;
+    const auto it = last.find({src, dst});
+    if (it != last.end() && it->second > now && it->second > want) {
+      want = it->second;
+      ++clamps;
     }
+    last[{src, dst}] = want;
+    ASSERT_EQ(rows.admit(src, dst, now, now + latency), want)
+        << src << " -> " << dst << " at " << now;
   };
   for (int op = 0; op < 200'000; ++op) {
-    const std::uint64_t r = rng.next_below(10);
-    const auto arrival = static_cast<support::SimTime>(rng.next_below(1'000'000));
-    if (live.empty() || r < (op < 100'000 ? 5u : 2u)) {  // open a channel
-      const auto src = static_cast<topo::Rank>(rng.next() >> 32);
-      const auto dst = static_cast<topo::Rank>(rng.next() >> 32);
-      const std::uint64_t key = ChannelTable::key(src, dst);
-      if (src == dst || ref.count(key) != 0) continue;
-      ASSERT_EQ(table.admit(key, arrival), arrival);
-      ref[key] = {arrival, 1};
-      live.push_back(key);
-    } else if (r < 7) {  // one more flight on a live channel
-      const std::uint64_t key = live[rng.next_below(live.size())];
-      auto& [last, in_flight] = ref[key];
-      last = std::max(last, arrival);
-      ++in_flight;
-      ASSERT_EQ(table.admit(key, arrival), last);
-    } else {
-      retire_one(rng.next_below(live.size()));
+    if (op % 50'000 == 25'000) {
+      for (topo::Rank dst = 1; dst < kRanks; ++dst) admit(0, dst, 3'000);
     }
-    ASSERT_EQ(table.size(), ref.size()) << "op " << op;
+    const auto src = static_cast<topo::Rank>(rng.next_below(8));
+    auto dst = static_cast<topo::Rank>(rng.next_below(rng.next_below(2) == 0
+                                                          ? 12
+                                                          : kRanks));
+    if (dst == src) dst = (dst + 1) % kRanks;
+    admit(src, dst, static_cast<support::SimTime>(rng.next_below(5'000)));
+    if (rng.next_below(64) == 0) {
+      now += static_cast<support::SimTime>(rng.next_below(1'000));
+    }
+    if (rng.next_below(20'000) == 0) now += 10'000;  // every entry dead
   }
-  EXPECT_GT(ref.size(), 1'000u);
-  while (!live.empty()) retire_one(live.size() - 1);
-  EXPECT_EQ(table.size(), 0u);
+  EXPECT_GT(clamps, 10'000u);
+  EXPECT_GT(rows.peak_overflow(), static_cast<std::uint64_t>(kRanks) - 6);
 }
 
+TEST(CongestionLedger, DifferenceArrayMatchesAPerBoundaryFold) {
+  // Random flights, some of them saturated far past the per-flight cap,
+  // read back window by window as a serial network does (seal on read): every
+  // load and the maximum must equal a per-boundary fold over a std::map,
+  // bit for bit.
+  constexpr support::SimTime kWindow = 1'000;
+  CongestionLedger ledger(kWindow);
+  std::map<std::uint64_t, double> fold;
+  support::Xoshiro256StarStar rng(11);
+  support::SimTime now = 0;
+  std::uint64_t capped = 0;
+  for (int op = 0; op < 100'000; ++op) {
+    now += static_cast<support::SimTime>(rng.next_below(300));
+    const std::uint64_t epoch = static_cast<std::uint64_t>(now) / kWindow;
+    if (epoch > 0 && rng.next_below(4) == 0) {
+      ledger.seal_through(epoch - 1);
+      const auto it = fold.find(epoch - 1);
+      ASSERT_EQ(ledger.boundary_load(epoch - 1),
+                it == fold.end() ? 0.0 : it->second)
+          << "boundary " << epoch - 1;
+    }
+    support::SimTime span =
+        static_cast<support::SimTime>(rng.next_below(6 * kWindow));
+    if (rng.next_below(1'000) == 0) span = std::int64_t{1} << 40;
+    const auto hops = static_cast<double>(1 + rng.next_below(12));
+    ledger.add_flight(now, now + span, hops);
+    const std::uint64_t first = epoch + 1;
+    std::uint64_t last = static_cast<std::uint64_t>(now + span) / kWindow;
+    if (last >= first + CongestionLedger::kMaxEpochsPerFlight) {
+      last = first + CongestionLedger::kMaxEpochsPerFlight - 1;
+      ++capped;
+    }
+    for (std::uint64_t j = first; j <= last; ++j) fold[j] += hops;
+  }
+  double max_load = 0.0;
+  for (const auto& [boundary, load] : fold) max_load = std::max(max_load, load);
+  EXPECT_GT(capped, 10u);
+  EXPECT_EQ(ledger.max_boundary_load(), max_load);  // unsealed tail included
+  ledger.seal_through(fold.rbegin()->first + 1);
+  EXPECT_EQ(ledger.max_boundary_load(), max_load);
+  for (const auto& [boundary, load] : fold) {
+    ASSERT_EQ(ledger.boundary_load(boundary), load) << "boundary " << boundary;
+  }
+  EXPECT_EQ(ledger.boundary_load(fold.rbegin()->first + 1), 0.0);
+  EXPECT_EQ(ledger.boundary_load(fold.rbegin()->first + 100), 0.0);
+}
+
+TEST(CongestionLedger, ShardedDrainThenSealMatchesAPerBoundaryFold) {
+  // The sharded run loop's order: each window, every shard's pending
+  // flights are folded in (ascending shard order), then the ledger is
+  // sealed through t_min / window, then every shard reads boundaries of
+  // the window [t_min, t_min + lookahead) while sending new flights that
+  // wait for the next barrier.
+  constexpr support::SimTime kWindow = 800;
+  constexpr support::SimTime kLookahead = 600;
+  constexpr int kShards = 4;
+  CongestionLedger ledger(kWindow);
+  std::map<std::uint64_t, double> fold;
+  std::vector<std::tuple<support::SimTime, support::SimTime, double>>
+      pending[kShards];
+  std::vector<std::pair<std::uint64_t, double>> reads;
+  support::Xoshiro256StarStar rng(5);
+  support::SimTime t_min = 0;
+  for (int window = 0; window < 5'000; ++window) {
+    for (auto& shard : pending) {
+      for (const auto& [send, arrival, hops] : shard) {
+        ledger.add_flight(send, arrival, hops);
+      }
+      shard.clear();
+    }
+    ledger.seal_through(static_cast<std::uint64_t>(t_min) / kWindow);
+    for (int shard = 0; shard < kShards; ++shard) {
+      for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+        const support::SimTime now =
+            t_min + static_cast<support::SimTime>(rng.next_below(kLookahead));
+        const std::uint64_t epoch = static_cast<std::uint64_t>(now) / kWindow;
+        if (epoch > 0) {
+          reads.emplace_back(epoch - 1, ledger.boundary_load(epoch - 1));
+        }
+        support::SimTime arrival =
+            now + static_cast<support::SimTime>(rng.next_below(5 * kWindow));
+        if (rng.next_below(2'000) == 0) arrival = std::int64_t{1} << 41;
+        const auto hops = static_cast<double>(1 + rng.next_below(9));
+        pending[shard].emplace_back(now, arrival, hops);
+        const std::uint64_t first = epoch + 1;
+        const std::uint64_t last =
+            std::min(static_cast<std::uint64_t>(arrival) / kWindow,
+                     first + CongestionLedger::kMaxEpochsPerFlight - 1);
+        for (std::uint64_t j = first; j <= last; ++j) fold[j] += hops;
+      }
+    }
+    t_min += kLookahead + static_cast<support::SimTime>(rng.next_below(400));
+  }
+  for (auto& shard : pending) {
+    for (const auto& [send, arrival, hops] : shard) {
+      ledger.add_flight(send, arrival, hops);
+    }
+  }
+  ASSERT_GT(reads.size(), 10'000u);
+  std::size_t loaded = 0;
+  for (const auto& [boundary, load] : reads) {
+    const auto it = fold.find(boundary);
+    ASSERT_EQ(load, it == fold.end() ? 0.0 : it->second)
+        << "boundary " << boundary;
+    loaded += load > 0.0;
+  }
+  EXPECT_GT(loaded, reads.size() / 2);
+  double max_load = 0.0;
+  for (const auto& [boundary, load] : fold) max_load = std::max(max_load, load);
+  EXPECT_EQ(ledger.max_boundary_load(), max_load);
+}
+
+/// Shard router stub: destinations at or above `first_remote` live on
+/// another shard; posted messages are recorded instead of delivered.
+class StubRouter final : public TestNetwork::Router {
+ public:
+  struct Post {
+    topo::Rank dst;
+    support::SimTime arrival;
+    support::SimTime t_sched;
+    topo::Rank src;
+    int id;
+  };
+
+  explicit StubRouter(topo::Rank first_remote) : first_remote_(first_remote) {}
+
+  bool is_remote(topo::Rank dst) const override { return dst >= first_remote_; }
+  void post(topo::Rank dst, support::SimTime arrival, support::SimTime t_sched,
+            topo::Rank src, TestMsg msg) override {
+    posts.push_back({dst, arrival, t_sched, src, msg.id});
+  }
+
+  std::vector<Post> posts;
+
+ private:
+  topo::Rank first_remote_;
+};
+
 /// Naive reference for the differential test: the latency, congestion and
-/// fault arithmetic spelled out from the separate LatencyModel queries, and
-/// the non-overtaking clamp over a std::map from (src, dst) to {last
-/// arrival, in flight}. It predicts every delivery and the live channel
-/// count without an event engine.
+/// fault arithmetic spelled out from the separate LatencyModel queries, the
+/// congestion load as a per-boundary fold over a std::map, and the
+/// non-overtaking clamp over a std::map from (src, dst) to {last arrival,
+/// deliveries in flight}, forgotten when the last delivery fires. It
+/// predicts every delivery without an event engine.
 class ReferenceNetwork {
  public:
   struct Delivery {
@@ -412,7 +530,7 @@ class ReferenceNetwork {
                    fault::Injector& faults)
       : model_(model),
         congestion_(congestion),
-        ledger_(congestion_window(congestion, model.params())),
+        window_(congestion_window(congestion, model.params())),
         faults_(faults) {}
 
   void send(support::SimTime now, topo::Rank src, topo::Rank dst, int id,
@@ -445,9 +563,12 @@ class ReferenceNetwork {
     return out;
   }
 
-  std::size_t active_channels() const { return channels_.size(); }
-  std::uint64_t peak_channels() const { return peak_; }
   std::uint64_t clamps() const { return clamps_; }
+  double max_load() const {
+    double out = 0.0;
+    for (const auto& [boundary, load] : load_) out = std::max(out, load);
+    return out;
+  }
 
  private:
   struct Channel {
@@ -460,12 +581,13 @@ class ReferenceNetwork {
     support::SimTime latency = model_.message_latency(src, dst, bytes);
     const bool congested =
         congestion_.enabled && !model_.layout().same_node(src, dst);
-    const auto w = static_cast<std::uint64_t>(ledger_.window());
+    const auto w = static_cast<std::uint64_t>(window_);
     if (congested || mult != 1.0) {
       double scaled = static_cast<double>(latency);
       if (congested) {
         const std::uint64_t epoch = static_cast<std::uint64_t>(now) / w;
-        const double load = epoch == 0 ? 0.0 : ledger_.boundary_load(epoch - 1);
+        const auto it = load_.find(epoch - 1);
+        const double load = epoch == 0 || it == load_.end() ? 0.0 : it->second;
         scaled *= 1.0 + load / congestion_.capacity_hops;
       }
       latency = static_cast<support::SimTime>(scaled * mult);
@@ -483,13 +605,12 @@ class ReferenceNetwork {
     } else {
       channels_[channel] = Channel{arrival, 1};
     }
-    peak_ = std::max<std::uint64_t>(peak_, channels_.size());
     if (congested) {
       const auto hops = static_cast<double>(model_.hops(src, dst));
       const std::uint64_t last = static_cast<std::uint64_t>(arrival) / w;
       for (std::uint64_t j = static_cast<std::uint64_t>(now) / w + 1; j <= last;
            ++j) {
-        ledger_.add(j, hops);
+        load_[j] += hops;
       }
     }
     pending_.emplace(arrival, channel);
@@ -498,20 +619,25 @@ class ReferenceNetwork {
 
   const topo::LatencyModel& model_;
   CongestionParams congestion_;
-  CongestionLedger ledger_;
+  support::SimTime window_;
   fault::Injector& faults_;
+  std::map<std::uint64_t, double> load_;
   std::map<std::pair<topo::Rank, topo::Rank>, Channel> channels_;
   std::multimap<support::SimTime, std::pair<topo::Rank, topo::Rank>> pending_;
   std::vector<Delivery> deliveries_;
   std::uint64_t seq_ = 0;
-  std::uint64_t peak_ = 0;
   std::uint64_t clamps_ = 0;
 };
 
-class NetworkDifferential : public ::testing::TestWithParam<topo::Rank> {};
+/// (ranks, routed): routed runs send every message to the upper half of
+/// the ranks through a StubRouter and hand each post straight back through
+/// accept_remote, as the destination shard would.
+class NetworkDifferential
+    : public ::testing::TestWithParam<std::tuple<topo::Rank, bool>> {};
 
 TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
-  const topo::Rank ranks = GetParam();
+  const topo::Rank ranks = std::get<0>(GetParam());
+  const bool routed = std::get<1>(GetParam());
   topo::TofuMachine machine;
   // 8G for the smallest size so same-node traffic is in the mix too.
   const topo::JobLayout layout =
@@ -536,6 +662,8 @@ TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
       engine, model,
       [&](topo::Rank dst, TestMsg m) { got.emplace_back(engine.now(), dst, m.id); },
       congestion, &faults);
+  StubRouter router(ranks / 2);
+  if (routed) net.set_router(&router);
   ReferenceNetwork ref(model, congestion, ref_faults);
 
   support::Xoshiro256StarStar rng(ranks);
@@ -551,23 +679,35 @@ TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
   support::SimTime now = 0;
   int id = 0;
   Tick tick;
+  const auto send = [&](topo::Rank src, topo::Rank dst, fault::MsgClass cls) {
+    const std::uint32_t bytes = kSizes[rng.next_below(4)];
+    net.send(src, dst, TestMsg{id}, bytes, cls);
+    for (const StubRouter::Post& p : router.posts) {
+      net.accept_remote(p.arrival, p.t_sched, 1, p.src, p.dst, TestMsg{p.id});
+    }
+    router.posts.clear();
+    ref.send(now, src, dst, id, bytes, cls);
+    ++id;
+  };
   for (int round = 0; round < 400; ++round) {
     // Land at `now`: every delivery due by then fires, none later.
     engine.schedule_at(now, tick, EventKind::kWorkerStep);
     engine.run_until(now + 1);
     ASSERT_EQ(engine.now(), now);
-    ref.retire_through(now);
-    ASSERT_EQ(net.active_channels(), ref.active_channels()) << "round " << round;
-    const auto send = [&](topo::Rank src, topo::Rank dst,
-                          fault::MsgClass cls) {
-      const std::uint32_t bytes = kSizes[rng.next_below(4)];
-      net.send(src, dst, TestMsg{id}, bytes, cls);
-      ref.send(now, src, dst, id, bytes, cls);
-      ++id;
-    };
-    if (round == 200) {  // rank 0's Terminate broadcast
+    // Rank 0's Terminate broadcast, twice: the second one after a quiet
+    // spell in which every first-broadcast channel has landed and died.
+    if (round == 200 || round == 300) {
       for (topo::Rank dst = 1; dst < ranks; ++dst) {
         send(0, dst, fault::MsgClass::kReliable);
+      }
+    }
+    // A hot sender: more live channels at once than its row holds.
+    if (rng.next_below(4) == 0) {
+      const topo::Rank src = pick();
+      for (std::uint64_t n = 5 + rng.next_below(8); n > 0; --n) {
+        topo::Rank dst = static_cast<topo::Rank>(rng.next_below(ranks));
+        if (dst == src) dst = (dst + 1) % ranks;
+        send(src, dst, kClasses[rng.next_below(3)]);
       }
     }
     const auto sends = rng.next_below(48);
@@ -577,18 +717,17 @@ TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
       if (dst == src) dst = (dst + 1) % ranks;
       send(src, dst, kClasses[rng.next_below(3)]);
     }
-    ASSERT_EQ(net.active_channels(), ref.active_channels()) << "round " << round;
-    ASSERT_EQ(net.stats().peak_channels, ref.peak_channels()) << "round " << round;
-    now += static_cast<support::SimTime>(rng.next_below(4'000));
+    now += static_cast<support::SimTime>(
+        round == 299 ? 1'000'000 : rng.next_below(4'000));
   }
   engine.run();
-  ref.retire_through(std::numeric_limits<support::SimTime>::max());
-  EXPECT_EQ(net.active_channels(), 0u);
-  EXPECT_EQ(ref.active_channels(), 0u);
-  EXPECT_EQ(net.stats().peak_channels, ref.peak_channels());
-  EXPECT_GE(net.stats().peak_channels, ranks - 1);  // the broadcast
+  // The broadcast spills every channel but the four its row holds.
+  EXPECT_GE(net.stats().peak_channels, ranks - 1 - ChannelRows::kWays);
+  EXPECT_LE(net.stats().peak_channels, static_cast<std::uint64_t>(id));
   EXPECT_GT(ref.clamps(), 0u);
   EXPECT_GT(faults.stats().duplicated_messages, 0u);
+  EXPECT_GT(ref.max_load(), 0.0);
+  EXPECT_EQ(net.stats().max_load_hops, ref.max_load());
 
   const auto want = ref.deliveries();
   ASSERT_EQ(got.size(), want.size());
@@ -598,34 +737,13 @@ TEST_P(NetworkDifferential, MatchesNaiveReferenceClamp) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ranks, NetworkDifferential,
-                         ::testing::Values(64u, 512u, 8192u));
-
-/// Shard router stub: destinations at or above `first_remote` live on
-/// another shard; posted messages are recorded instead of delivered.
-class StubRouter final : public TestNetwork::Router {
- public:
-  struct Post {
-    topo::Rank dst;
-    support::SimTime arrival;
-    support::SimTime t_sched;
-    topo::Rank src;
-    int id;
-  };
-
-  explicit StubRouter(topo::Rank first_remote) : first_remote_(first_remote) {}
-
-  bool is_remote(topo::Rank dst) const override { return dst >= first_remote_; }
-  void post(topo::Rank dst, support::SimTime arrival, support::SimTime t_sched,
-            topo::Rank src, TestMsg msg) override {
-    posts.push_back({dst, arrival, t_sched, src, msg.id});
-  }
-
-  std::vector<Post> posts;
-
- private:
-  topo::Rank first_remote_;
-};
+INSTANTIATE_TEST_SUITE_P(
+    Ranks, NetworkDifferential,
+    ::testing::Combine(::testing::Values(64u, 512u, 8192u), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<topo::Rank, bool>>& param_info) {
+      return std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) ? "_routed" : "_local");
+    });
 
 TEST_F(NetworkTest, RemoteSendsClampOnTheSender) {
   StubRouter router(32);
@@ -640,75 +758,74 @@ TEST_F(NetworkTest, RemoteSendsClampOnTheSender) {
   EXPECT_EQ(router.posts[1].t_sched, 0);
   EXPECT_EQ(router.posts[1].src, 0u);
   EXPECT_EQ(router.posts[1].dst, 63u);
-  // The sender owns the channel state; no local delivery was scheduled.
-  EXPECT_EQ(net_.active_channels(), 1u);
+  // No local delivery was scheduled for them.
   EXPECT_EQ(engine_.pending(), 0u);
   // A local destination is still delivered here.
   net_.send(0, 5, TestMsg{3}, 0);
   EXPECT_EQ(router.posts.size(), 2u);
-  EXPECT_EQ(net_.active_channels(), 2u);
   engine_.run();
   ASSERT_EQ(log_.size(), 1u);
   EXPECT_EQ(log_[0].id, 3);
-  EXPECT_EQ(net_.active_channels(), 1u);  // the remote one awaits its flush
 }
 
-TEST_F(NetworkTest, AcceptedRemoteFlightsSkipRetirement) {
-  // A local flight on channel 3 -> 9 and an earlier remote flight on the
-  // same pair, as a destination shard would receive it: delivering the
-  // remote one must not retire the local channel state.
+TEST_F(NetworkTest, AcceptedRemoteFlightsLeaveTheChannelStateAlone) {
+  // A local flight on channel 3 -> 9 and an earlier flight on the same pair
+  // accepted from another shard. Delivering the accepted one does no
+  // channel work: a tiny local send after it still clamps to the local
+  // flight's arrival.
   net_.send(3, 9, TestMsg{1}, 100'000);
   const auto local_at = model_.message_latency(3, 9, 100'000);
   net_.accept_remote(1'000, 0, 1, 3, 9, TestMsg{2});
-  EXPECT_EQ(net_.active_channels(), 1u);
   engine_.run_until(local_at);
   ASSERT_EQ(log_.size(), 1u);
   EXPECT_EQ(log_[0].id, 2);
   EXPECT_EQ(log_[0].at, 1'000);
-  EXPECT_EQ(net_.active_channels(), 1u);
+  ASSERT_LT(1'000 + model_.message_latency(3, 9, 0), local_at);
+  net_.send(3, 9, TestMsg{3}, 0);
   engine_.run();
-  ASSERT_EQ(log_.size(), 2u);
-  EXPECT_EQ(log_[1].at, local_at);
-  EXPECT_EQ(net_.active_channels(), 0u);
-  EXPECT_EQ(net_.stats().messages, 1u);  // counted on the sending shard
+  ASSERT_EQ(log_.size(), 3u);
+  EXPECT_EQ(log_[1].id, 1);
+  EXPECT_EQ(log_[2].id, 3);
+  EXPECT_EQ(log_[2].at, local_at);
+  EXPECT_EQ(net_.stats().messages, 2u);  // the accepted one counted elsewhere
 }
 
-TEST_F(NetworkTest, FlushRetiresExactlyTheChannelsThatHaveLanded) {
-  StubRouter router(0);  // every destination is remote
+TEST_F(NetworkTest, RowSlotsFreeUpWhenTheSendersClockReachesTheirArrival) {
+  StubRouter router(0);  // every destination is remote: no delivery events
   net_.set_router(&router);
-  net_.send(0, 1, TestMsg{1}, 0);       // same blade: lands first
-  net_.send(0, 63, TestMsg{2}, 0);      // network
-  net_.send(2, 63, TestMsg{3}, 0);
-  net_.send(2, 63, TestMsg{4}, 5'000);  // second flight, lands last
-  ASSERT_EQ(router.posts.size(), 4u);
-  const auto first = router.posts[0].arrival;
-  const auto second = router.posts[1].arrival;
-  const auto last = router.posts[3].arrival;
-  ASSERT_LT(first, second);
-  ASSERT_LT(second, last);
-  ASSERT_LT(router.posts[2].arrival, last);
-  EXPECT_EQ(net_.active_channels(), 3u);
-
+  for (topo::Rank dst = 60; dst < 64; ++dst) {
+    net_.send(2, dst, TestMsg{0}, 0);
+  }
+  support::SimTime first = std::numeric_limits<support::SimTime>::max();
+  for (const StubRouter::Post& p : router.posts) {
+    first = std::min(first, p.arrival);
+  }
   Tick tick;
   const auto advance_to = [&](support::SimTime t) {
     engine_.schedule_at(t, tick, EventKind::kWorkerStep);
     engine_.run();
-    net_.flush_retirements();
   };
+  // One tick before the earliest arrival every row slot is live: a fifth
+  // channel spills, here a large message.
   advance_to(first - 1);
-  EXPECT_EQ(net_.active_channels(), 3u);
-  advance_to(first);  // arrival == now retires
-  EXPECT_EQ(net_.active_channels(), 2u);
-  advance_to(std::max(second, router.posts[2].arrival));
-  EXPECT_EQ(net_.active_channels(), 1u);  // 2 -> 63 still has a flight
-  advance_to(last);
-  EXPECT_EQ(net_.active_channels(), 0u);
-  EXPECT_EQ(net_.stats().peak_channels, 3u);
-
-  // The retired channel's clamp is gone: a fresh send lands at now + latency.
-  net_.send(2, 63, TestMsg{5}, 0);
+  net_.send(2, 10, TestMsg{1}, 100'000);
+  const auto spilled_at = router.posts.back().arrival;
+  EXPECT_EQ(net_.stats().peak_channels, 1u);
+  // At the earliest arrival its slot is dead and a new channel takes it.
+  advance_to(first);
+  net_.send(2, 11, TestMsg{2}, 0);
+  EXPECT_EQ(net_.stats().peak_channels, 1u);
   EXPECT_EQ(router.posts.back().arrival,
-            last + model_.message_latency(2, 63, 0));
+            first + model_.message_latency(2, 11, 0));
+  // The spilled channel still clamps from the overflow table.
+  ASSERT_LT(first + model_.message_latency(2, 10, 0), spilled_at);
+  net_.send(2, 10, TestMsg{3}, 0);
+  EXPECT_EQ(router.posts.back().arrival, spilled_at);
+  // Once the clock passes it, the clamp is gone.
+  advance_to(spilled_at);
+  net_.send(2, 10, TestMsg{4}, 0);
+  EXPECT_EQ(router.posts.back().arrival,
+            spilled_at + model_.message_latency(2, 10, 0));
 }
 
 }  // namespace
