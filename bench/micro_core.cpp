@@ -5,8 +5,9 @@
 /// Besides the google-benchmark suite, `micro_core --core-report[=PATH]`
 /// measures the event core itself — events/sec through the engine on a
 /// steal/poll/delivery-shaped workload, heap traffic per event (via the
-/// counting global allocator below), and the queue high-water mark — and
-/// writes the numbers as JSON (default BENCH_core.json).
+/// counting global allocator below), and the queue high-water mark — plus
+/// node realization's wall time per child (UtsRng::spawn_pair) and the kernel
+/// that ran, and writes the numbers as JSON (default BENCH_core.json).
 /// bench/regenerate_bench_core.py folds them into the committed
 /// BENCH_core.json, whose "current" section the CI perf-smoke job gates
 /// against.
@@ -118,14 +119,40 @@ void BM_UtsRngSpawn(benchmark::State& state) {
 }
 BENCHMARK(BM_UtsRngSpawn);
 
-// The portable path spawn takes on CPUs without the SHA extensions.
-void BM_UtsRngSpawnScalar(benchmark::State& state) {
-  const auto node = crypto::UtsRng::from_seed(316).state();
+/// Wall time per realized child of a benchmark that realizes one sibling
+/// pair per iteration.
+benchmark::Counter per_child(const benchmark::State& state) {
+  return benchmark::Counter(2.0 * static_cast<double>(state.iterations()),
+                            benchmark::Counter::kIsRate |
+                                benchmark::Counter::kInvert);
+}
+
+// Two siblings per call through the kernel spawn runs on this CPU.
+void BM_UtsRngSpawnPair(benchmark::State& state) {
+  const auto node = crypto::UtsRng::from_seed(316);
   std::uint32_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::detail::spawn_digest(
-        node, i++ & 0xff, crypto::detail::sha1_compress));
+    benchmark::DoNotOptimize(node.spawn_pair(i));
+    i = (i + 2) & 0xff;
   }
+  state.counters["s_per_child"] = per_child(state);
+  state.SetLabel(crypto::detail::spawn_kernel());
+}
+BENCHMARK(BM_UtsRngSpawnPair);
+
+// The portable pair spawn runs on CPUs without the SHA extensions.
+void BM_UtsRngSpawnScalar(benchmark::State& state) {
+  const auto node = crypto::UtsRng::from_seed(316).state();
+  crypto::Sha1Digest a;
+  crypto::Sha1Digest b;
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    crypto::detail::spawn_pair_portable(node, i, a, b);
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    i = (i + 2) & 0xff;
+  }
+  state.counters["s_per_child"] = per_child(state);
 }
 BENCHMARK(BM_UtsRngSpawnScalar);
 
@@ -139,6 +166,34 @@ void BM_TreeExpandChild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeExpandChild);
+
+// One node's whole expansion, as every executor does it: num_children, then
+// for_each_child. The nodes are the first 64K of SIM200K's depth-first walk.
+void BM_TreeExpandNode(benchmark::State& state) {
+  const auto& params = uts::tree_by_name("SIM200K");
+  std::vector<uts::TreeNode> nodes;
+  std::vector<uts::TreeNode> stack{uts::root_node(params)};
+  while (nodes.size() < (1u << 16) && !stack.empty()) {
+    nodes.push_back(stack.back());
+    stack.pop_back();
+    uts::for_each_child(
+        nodes.back(), uts::num_children(params, nodes.back()),
+        [&stack](const uts::TreeNode& c) { stack.push_back(c); });
+  }
+  std::size_t k = 0;
+  std::uint64_t children = 0;
+  for (auto _ : state) {
+    const uts::TreeNode& node = nodes[k++ % nodes.size()];
+    uts::for_each_child(node, uts::num_children(params, node),
+                        [&children](const uts::TreeNode& c) {
+                          benchmark::DoNotOptimize(c);
+                          ++children;
+                        });
+  }
+  state.counters["children_per_node"] =
+      static_cast<double>(children) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TreeExpandNode);
 
 void BM_SequentialEnumerate200K(benchmark::State& state) {
   const auto& params = uts::tree_by_name("SIM200K");
@@ -370,6 +425,10 @@ struct CoreReport {
   std::uint64_t sim_queue_high_water = 0;
   std::uint64_t peak_heap_bytes = 0;
   std::uint64_t sim_engine_events = 0;
+  /// Wall time per child realized by UtsRng::spawn_pair, and the kernel
+  /// (crypto::detail::spawn_kernel) that ran.
+  double uts_spawn_ns_per_child = 0.0;
+  const char* uts_spawn_kernel = "";
 };
 
 class CoreWorkload final : public sim::EventSink {
@@ -491,10 +550,31 @@ void measure_simulation(CoreReport& report) {
   report.sim_events_per_sec = best;
 }
 
+/// Node realization: sibling pairs of one parent, best of three passes.
+void measure_spawn(CoreReport& report) {
+  constexpr std::uint32_t kPairs = 1u << 21;
+  const auto parent = crypto::UtsRng::from_seed(316);
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::uint32_t sink = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint32_t i = 0; i < kPairs; ++i) {
+      const auto pair = parent.spawn_pair(2 * i);
+      sink ^= pair[0].rand31() ^ pair[1].rand31();
+    }
+    const double ns = wall_seconds_since(t0) * 1e9 / (2.0 * kPairs);
+    benchmark::DoNotOptimize(sink);
+    if (rep == 0 || ns < best) best = ns;
+  }
+  report.uts_spawn_ns_per_child = best;
+  report.uts_spawn_kernel = crypto::detail::spawn_kernel();
+}
+
 int run_core_report(const std::string& path) {
   CoreReport report;
   measure_engine(report);
   measure_simulation(report);
+  measure_spawn(report);
   report.peak_heap_bytes = g_peak_bytes.load();
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -512,14 +592,17 @@ int run_core_report(const std::string& path) {
                " \"queue_high_water\":%llu,\n"
                " \"sim_queue_high_water\":%llu,\n"
                " \"peak_heap_bytes\":%llu,\n"
-               " \"sim_engine_events\":%llu}\n",
+               " \"sim_engine_events\":%llu,\n"
+               " \"uts_spawn_ns_per_child\":%.6g,\n"
+               " \"uts_spawn_kernel\":\"%s\"}\n",
                report.engine_events_per_sec, report.sim_events_per_sec,
                report.sim_nodes_per_sec,
                report.allocs_per_event, report.alloc_bytes_per_event,
                static_cast<unsigned long long>(report.queue_high_water),
                static_cast<unsigned long long>(report.sim_queue_high_water),
                static_cast<unsigned long long>(report.peak_heap_bytes),
-               static_cast<unsigned long long>(report.sim_engine_events));
+               static_cast<unsigned long long>(report.sim_engine_events),
+               report.uts_spawn_ns_per_child, report.uts_spawn_kernel);
   std::fclose(f);
   std::printf("engine: %.3g events/s (%.3g allocs/event, %.3g B/event, "
               "high-water %llu)\nsim:    %.3g events/s, %.3g nodes/s "
@@ -529,6 +612,8 @@ int run_core_report(const std::string& path) {
               static_cast<unsigned long long>(report.queue_high_water),
               report.sim_events_per_sec, report.sim_nodes_per_sec,
               static_cast<unsigned long long>(report.sim_engine_events));
+  std::printf("uts:    %.3g ns per spawned child (%s)\n",
+              report.uts_spawn_ns_per_child, report.uts_spawn_kernel);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -10,7 +10,8 @@ and records the host's core count. The "baseline" section is a fixed
 historical measurement (the closure event core before the typed one) and is
 carried over from the existing file unchanged. The CI perf-smoke job gates
 `current.engine_events_per_sec` and `current.sim_events_per_sec` at half
-the committed values, so commit a file regenerated on the host you quote.
+the committed values and `current.uts_spawn_ns_per_child` at twice the
+committed value, so commit a file regenerated on the host you quote.
 """
 
 import json
@@ -28,7 +29,8 @@ OUT = ROOT / "BENCH_core.json"
 WORKLOAD = (
     "micro_core --core-report: 512-actor steal/poll/delivery event loop "
     "(4M measured events) + fig06-shaped run_simulation (SIM200K, 256 ranks, "
-    "Rand 1/N, congestion); parallel_core: sharded paper-scale run (SIM2M, "
+    "Rand 1/N, congestion) + UtsRng::spawn_pair over 2M sibling pairs; "
+    "parallel_core: sharded paper-scale run (SIM2M, "
     "8192 ranks, Ref 1/N, congestion)")
 
 

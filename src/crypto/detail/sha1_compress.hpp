@@ -1,9 +1,10 @@
 #pragma once
 
-// Internal to src/crypto: the SHA-1 block compressors behind Sha1 and
-// UtsRng::spawn, exposed so tests and micro-benchmarks can drive each one
-// directly. Nothing outside crypto selects between them; UtsRng::spawn picks
-// once at run time from what the CPU supports.
+// Internal to src/crypto: the SHA-1 block compressor behind Sha1 and the
+// sibling-pair kernels behind UtsRng::spawn_pair, exposed so tests and
+// micro-benchmarks can drive each one directly. Nothing outside crypto
+// selects between the kernels; UtsRng::spawn_pair picks once at run time from
+// what the CPU supports.
 
 #include <array>
 #include <cstdint>
@@ -36,27 +37,31 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-/// Folds one 64-byte block, given as its 16 big-endian message words already
-/// loaded into host integers, into the hash state `h`.
-using Sha1Compressor = void (*)(std::uint32_t* h,
-                                const std::uint32_t* w) noexcept;
-
-/// The portable 80-round compression function.
+/// The portable 80-round compression function: folds one 64-byte block,
+/// given as its 16 big-endian message words already loaded into host
+/// integers, into the hash state `h`.
 void sha1_compress(std::uint32_t* h, const std::uint32_t* w) noexcept;
 
+/// Children `first` and `first + 1` (the index wraps mod 2^32) of `parent`:
+/// out0 = SHA1(parent || be32(first)), out1 = SHA1(parent || be32(first + 1)),
+/// each one padded block. This one runs sha1_compress twice.
+void spawn_pair_portable(const Sha1Digest& parent, std::uint32_t first,
+                         Sha1Digest& out0, Sha1Digest& out1) noexcept;
+
 #if DWS_CRYPTO_SHA_NI
-/// The same compression with the x86 SHA extensions. Call it only when
-/// sha_ni_available() is true.
-void sha1_compress_sha_ni(std::uint32_t* h, const std::uint32_t* w) noexcept;
+/// The same pair with the x86 SHA extensions, the two compressions
+/// interleaved. Call it only when sha_ni_available() is true.
+void spawn_pair_sha_ni(const Sha1Digest& parent, std::uint32_t first,
+                       Sha1Digest& out0, Sha1Digest& out1) noexcept;
 #endif
 
 /// True when the CPU has the SHA extensions and SSE4.1 (always false off
-/// x86). Reads CPUID on every call; UtsRng::spawn keeps the first answer.
+/// x86). Reads CPUID on every call; UtsRng::spawn_pair keeps the first
+/// answer.
 bool sha_ni_available() noexcept;
 
-/// SHA1(parent || be32(child_index)) as one padded block through `compress`:
-/// the state UtsRng::spawn gives child `child_index` of `parent`.
-Sha1Digest spawn_digest(const Sha1Digest& parent, std::uint32_t child_index,
-                        Sha1Compressor compress) noexcept;
+/// The pair kernel UtsRng::spawn_pair runs on this CPU: "sha-ni-x2" or
+/// "portable".
+const char* spawn_kernel() noexcept;
 
 }  // namespace dws::crypto::detail

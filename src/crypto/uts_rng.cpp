@@ -4,28 +4,6 @@
 
 namespace dws::crypto {
 
-namespace detail {
-
-Sha1Digest spawn_digest(const Sha1Digest& parent, std::uint32_t child_index,
-                        Sha1Compressor compress) noexcept {
-  // The 24-byte message fits one block: parent digest, child index, the 0x80
-  // terminator, zeros, and the bit length 192 in the last word.
-  std::uint32_t w[16] = {};
-  for (int i = 0; i < 5; ++i) w[i] = load_be32(parent.data() + 4 * i);
-  w[5] = child_index;
-  w[6] = 0x80000000u;
-  w[15] = static_cast<std::uint32_t>(8 * (kSha1DigestSize + 4));
-
-  auto h = kSha1Init;
-  compress(h.data(), w);
-
-  Sha1Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, h[i]);
-  return out;
-}
-
-}  // namespace detail
-
 UtsRng UtsRng::from_seed(std::uint32_t seed) noexcept {
   std::uint8_t bytes[4];
   detail::store_be32(bytes, seed);
@@ -37,15 +15,22 @@ UtsRng UtsRng::from_seed(std::uint32_t seed) noexcept {
 }
 
 UtsRng UtsRng::spawn(std::uint32_t child_index) const noexcept {
-  // Resolved on first use rather than at namespace scope, so a spawn during
-  // static initialisation never sees an unset pointer.
-  static const detail::Sha1Compressor compress = [] {
+  return spawn_pair(child_index)[0];
+}
+
+std::array<UtsRng, 2> UtsRng::spawn_pair(std::uint32_t first) const noexcept {
+  std::array<UtsRng, 2> out;
 #if DWS_CRYPTO_SHA_NI
-    if (detail::sha_ni_available()) return detail::sha1_compress_sha_ni;
+  // Resolved on first use rather than at namespace scope, so a spawn during
+  // static initialisation never reads an unset flag.
+  static const bool sha_ni = detail::sha_ni_available();
+  if (sha_ni) {
+    detail::spawn_pair_sha_ni(state_, first, out[0].state_, out[1].state_);
+    return out;
+  }
 #endif
-    return detail::sha1_compress;
-  }();
-  return UtsRng(detail::spawn_digest(state_, child_index, compress));
+  detail::spawn_pair_portable(state_, first, out[0].state_, out[1].state_);
+  return out;
 }
 
 std::uint32_t UtsRng::rand31() const noexcept {

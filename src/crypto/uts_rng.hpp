@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "crypto/sha1.hpp"
@@ -23,8 +24,14 @@ class UtsRng {
   /// Root state for a tree seed.
   static UtsRng from_seed(std::uint32_t seed) noexcept;
 
-  /// State of the i-th child of this node.
+  /// State of the i-th child of this node: lane 0 of spawn_pair.
   UtsRng spawn(std::uint32_t child_index) const noexcept;
+
+  /// States of children `first` and `first + 1` (the index wraps mod 2^32),
+  /// equal to {spawn(first), spawn(first + 1)}. One kernel computes both: on
+  /// a CPU with the SHA extensions the two compressions interleave, and a
+  /// pair takes about as long as one compression's dependent chain.
+  std::array<UtsRng, 2> spawn_pair(std::uint32_t first) const noexcept;
 
   /// 31-bit non-negative uniform value derived from the state (the UTS
   /// "rng_rand" convention: high 4 bytes of the digest, sign bit cleared).

@@ -253,9 +253,9 @@ class RankExecutor final : public proto::Transport {
       if (n == 0) {
         ++stats.leaves_seen;
       } else {
-        for (std::uint32_t c = 0; c < n; ++c) {
-          stack.push(uts::child_node(*node, c));
-        }
+        uts::for_each_child(*node, n, [&stack](const uts::TreeNode& c) {
+          stack.push(c);
+        });
       }
     }
     busy_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(

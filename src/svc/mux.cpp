@@ -70,7 +70,10 @@ ws::RankPause& SvcPort::pause() noexcept { return mux->pause(); }
 // ---- MuxWorker -------------------------------------------------------------
 
 MuxWorker::MuxWorker(topo::Rank rank, ServiceContext& ctx)
-    : rank_(rank), ctx_(ctx), workers_(ctx.plan->jobs.size()) {}
+    : rank_(rank),
+      ctx_(ctx),
+      workers_(ctx.plan->jobs.size()),
+      pause_(ctx.faults, rank) {}
 
 void MuxWorker::on_envelope(const Envelope& env) {
   if (const auto* msg = std::get_if<proto::Message>(&env.body)) {

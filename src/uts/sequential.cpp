@@ -27,9 +27,8 @@ TreeStats enumerate_sequential(const TreeParams& params,
       ++stats.leaves;
       continue;
     }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      stack.push_back(child_node(node, i));
-    }
+    for_each_child(node, n,
+                   [&stack](const TreeNode& c) { stack.push_back(c); });
   }
   return stats;
 }

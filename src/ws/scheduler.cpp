@@ -296,8 +296,8 @@ struct WsBinding {
     // same relative seq order as in the serial run.
     for (topo::Rank r : ranks) {
       local.workers[r] = std::make_unique<WsWorker>(
-          ctx, WsPort{&ctx, {}}, r, r, config.num_ranks, config.tree, &latency,
-          shard_observer);
+          ctx, WsPort{&ctx, RankPause(ctx.faults, r)}, r, r, config.num_ranks,
+          config.tree, &latency, shard_observer);
       shard.engine.schedule_at(0, *local.workers[r],
                                sim::EventKind::kWorkerStart, r);
     }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <variant>
@@ -56,18 +57,25 @@ struct ExecContext {
 /// A physical rank's one-shot transient pause (fault injection): the rank
 /// stalls once, at the first step boundary past the pause's scheduled start.
 /// Idle ranks are already stalled from the work's point of view, so only
-/// active time is charged.
-struct RankPause {
-  bool taken = false;
+/// active time is charged. The start is looked up once, here; a rank with no
+/// pause, or a run without fault injection, never takes one.
+class RankPause {
+ public:
+  RankPause(const fault::Injector* faults, topo::Rank rank)
+      : at_(faults != nullptr ? faults->pause_start(rank).value_or(kNever)
+                              : kNever) {}
 
-  bool take(const fault::Injector& faults, topo::Rank rank,
-            support::SimTime now) {
-    if (taken) return false;
-    const auto at = faults.pause_start(rank);
-    if (!at.has_value() || now < *at) return false;
-    taken = true;
+  /// True at the first call with `now` at or past the scheduled start.
+  bool take(support::SimTime now) noexcept {
+    if (now < at_) return false;
+    at_ = kNever;
     return true;
   }
+
+ private:
+  static constexpr support::SimTime kNever =
+      std::numeric_limits<support::SimTime>::max();
+  support::SimTime at_;  ///< kNever once taken
 };
 
 /// One job's presence on one simulated MPI rank: a thin discrete-event
@@ -303,16 +311,15 @@ class Worker final : public sim::EventSink, private proto::Transport {
       if (n == 0) {
         ++stats.leaves_seen;
       } else {
-        for (std::uint32_t c = 0; c < n; ++c) {
-          stack.push(uts::child_node(*node, c));
-        }
+        uts::for_each_child(*node, n, [&stack](const uts::TreeNode& c) {
+          stack.push(c);
+        });
       }
       cost += per_node_cost_;
     }
 
     // Transient pause (fault injection): once per physical rank.
-    if (ctx_.faults != nullptr &&
-        port_.pause().take(*ctx_.faults, rank_, now)) {
+    if (port_.pause().take(now)) {
       cost += ctx_.faults->config().pause_duration;
     }
 

@@ -114,35 +114,47 @@ Sha1Digest reference_spawn(const Sha1Digest& parent, std::uint32_t index) {
   return Sha1::digest(input);
 }
 
-void expect_matches_sha1(detail::Sha1Compressor compress) {
-  const Sha1Digest root = UtsRng::from_seed(316).state();
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    ASSERT_EQ(detail::spawn_digest(root, i, compress), reference_spawn(root, i))
-        << "index " << i;
-  }
-  ASSERT_EQ(detail::spawn_digest(root, 0xffffffffu, compress),
-            reference_spawn(root, 0xffffffffu));
+using PairKernel = void (*)(const Sha1Digest&, std::uint32_t, Sha1Digest&,
+                            Sha1Digest&) noexcept;
 
-  // A chain of a million spawns, each index a different bit pattern.
+/// Both lanes of `kernel` against the definition: indices 0..255, the pair
+/// whose second lane wraps to index 0, and a million-pair chain that
+/// continues from lane 0 and lane 1 in turn.
+void expect_pair_matches_sha1(PairKernel kernel) {
+  const Sha1Digest root = UtsRng::from_seed(316).state();
+  Sha1Digest a;
+  Sha1Digest b;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    kernel(root, i, a, b);
+    ASSERT_EQ(a, reference_spawn(root, i)) << "lane 0, index " << i;
+    ASSERT_EQ(b, reference_spawn(root, i + 1)) << "lane 1, index " << i + 1;
+  }
+  kernel(root, 0xffffffffu, a, b);
+  ASSERT_EQ(a, reference_spawn(root, 0xffffffffu));
+  ASSERT_EQ(b, reference_spawn(root, 0));
+
+  // Each index a different bit pattern.
   Sha1Digest node = root;
   for (std::uint32_t i = 0; i < 1'000'000; ++i) {
     const std::uint32_t index = i * 0x9e3779b9u;
-    const Sha1Digest expect = reference_spawn(node, index);
-    node = detail::spawn_digest(node, index, compress);
-    ASSERT_EQ(node, expect) << "depth " << i;
+    kernel(node, index, a, b);
+    const Sha1Digest& next = (i & 1) != 0 ? b : a;
+    ASSERT_EQ(next, reference_spawn(node, (i & 1) != 0 ? index + 1 : index))
+        << "depth " << i;
+    node = next;
   }
 }
 
 TEST(UtsRngCompress, ScalarMatchesSha1) {
-  expect_matches_sha1(detail::sha1_compress);
+  expect_pair_matches_sha1(detail::spawn_pair_portable);
 }
 
-TEST(UtsRngCompress, ShaNiMatchesSha1) {
+TEST(UtsRngCompress, PairMatchesSha1) {
   if (!detail::sha_ni_available()) {
     GTEST_SKIP() << "CPU lacks the SHA extensions or SSE4.1";
   }
 #if DWS_CRYPTO_SHA_NI
-  expect_matches_sha1(detail::sha1_compress_sha_ni);
+  expect_pair_matches_sha1(detail::spawn_pair_sha_ni);
 #endif
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "uts/params.hpp"
 
@@ -79,6 +80,19 @@ TEST(Tree, SiblingsHaveDistinctStates) {
   const auto root = root_node(p);
   for (std::uint32_t i = 1; i < 1000; ++i) {
     ASSERT_NE(child_node(root, i), child_node(root, i - 1));
+  }
+}
+
+TEST(Tree, ForEachChildMatchesChildNode) {
+  const auto p = binomial(316, 2000, 2, 0.5);
+  const auto parent = child_node(root_node(p), 7);
+  for (const std::uint32_t n : {0u, 1u, 2u, 3u, 5u, 2000u}) {
+    std::vector<TreeNode> got;
+    for_each_child(parent, n, [&got](const TreeNode& c) { got.push_back(c); });
+    ASSERT_EQ(got.size(), n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], child_node(parent, i)) << "n " << n << ", child " << i;
+    }
   }
 }
 
